@@ -134,11 +134,12 @@ struct OverloadEvent {
 /// stats_interval_sec): the session's cumulative ingest/output counters and
 /// its chunk→event latency summary, emitted in-band so a sink can watch
 /// session health without polling Engine::stats(). Emitted by the
-/// rt::Engine only.
+/// rt::Engine only; the same record is what Engine::stats(id) returns
+/// (rt::SessionStats).
 struct StatsEvent {
-  /// Chunks accepted into the session's ring so far.
+  /// Chunks offered to the session so far (queued, dropped or refused).
   std::uint64_t chunks_in = 0;
-  /// Samples accepted into the session's ring so far.
+  /// Samples offered to the session so far.
   std::uint64_t samples_in = 0;
   /// Chunks lost to backpressure (ring full) so far.
   std::uint64_t chunks_dropped = 0;
@@ -158,14 +159,23 @@ struct StatsEvent {
   int fidelity = 1;
   /// True while the watchdog has the session flagged as stalled.
   bool stalled = false;
-  /// Offer→processed chunk latency summary (nanoseconds).
+  /// True once the feeder signalled end of stream (close_session()).
+  bool closed = false;
+  /// True once the session is drained and finalised, or dead — never on a
+  /// delivered event, since a finished session emits no more telemetry.
+  bool finished = false;
+  /// Offer→processed chunk latency summary (nanoseconds; fills only while
+  /// obs recording is enabled).
   obs::HistogramSnapshot latency;
 };
 
 /// One unit of pipeline output: exactly one of the event structs above.
 /// StalledEvent/RecoveredEvent/OverloadEvent/StatsEvent are runtime-health
 /// events only the multiplexing rt::Engine produces; a standalone Session
-/// never emits them.
+/// never emits them. The engine also emits ErrorEvents of its own for
+/// failures outside the pipeline (a fatal watchdog timeout, say). Engine
+/// consumers receive every event as an rt::Event built by
+/// rt::to_legacy_event(); rt::to_api_event() recovers the typed form.
 using Event = std::variant<ColumnEvent, TracksEvent, BitsEvent, CountEvent,
                            FinishedEvent, ErrorEvent, StalledEvent,
                            RecoveredEvent, OverloadEvent, StatsEvent>;

@@ -37,7 +37,8 @@ enum class ErrorCode {
   kStageFailure,   ///< a pipeline stage threw while processing
   kSinkFailure,    ///< the consumer's event callback threw
   kTimeout,        ///< watchdog: the feeder went silent past its deadline
-  kOverload,       ///< backpressure exhausted every degradation rung
+  kOverload,       ///< backpressure exhausted every degradation rung, or
+                   ///  the engine's session table is full
   kMalformedFrame, ///< a wire frame failed parsing/validation at the
                    ///  network ingress (net::ParseStatus carries the
                    ///  precise cause; DESIGN.md §13)

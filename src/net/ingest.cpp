@@ -2,13 +2,21 @@
 
 #include <utility>
 
+#include "src/common/error.hpp"
+
 namespace wivi::net {
 
-rt::SessionId EngineBinding::bind(std::uint32_t sensor_id) {
+std::optional<rt::SessionId> EngineBinding::bind(std::uint32_t sensor_id) {
   // Callers hold mu_.
   const auto it = sessions_.find(sensor_id);
   if (it != sessions_.end()) return it->second;
-  const rt::SessionId id = engine_.open_session(cfg_.spec, cfg_.ingest);
+  rt::SessionId id;
+  try {
+    id = engine_.open_session(cfg_.spec, cfg_.ingest);
+  } catch (const TypedError& e) {
+    if (e.code() != ErrorCode::kOverload) throw;
+    return std::nullopt;  // session table full: the sensor is refused
+  }
   sessions_.emplace(sensor_id, id);
   closed_.emplace(sensor_id, false);
   return id;
@@ -16,24 +24,28 @@ rt::SessionId EngineBinding::bind(std::uint32_t sensor_id) {
 
 bool EngineBinding::deliver(std::uint32_t sensor_id,
                             std::uint64_t /*chunk_seq*/, CVec&& chunk) {
-  rt::SessionId id;
+  std::optional<rt::SessionId> id;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (auto c = closed_.find(sensor_id); c != closed_.end() && c->second)
       return false;  // stream already ended; late chunk refused
     id = bind(sensor_id);
   }
-  return engine_.offer(id, std::move(chunk));
+  return id && engine_.offer(*id, std::move(chunk));
 }
 
 void EngineBinding::end(std::uint32_t sensor_id) {
   rt::SessionId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    id = bind(sensor_id);  // an end with no data still resolves the session
+    // An end with no data still resolves the session — unless the sensor
+    // was refused a session, which leaves nothing to close.
+    const std::optional<rt::SessionId> bound = bind(sensor_id);
+    if (!bound) return;
     bool& closed = closed_[sensor_id];
     if (closed || !cfg_.close_on_end) return;
     closed = true;
+    id = *bound;
   }
   engine_.close_session(id);
 }

@@ -9,7 +9,9 @@
 /// and the sensor's end-of-stream mark closes the session. A false
 /// offer() (kDropNewest with a full ring) propagates back as a refused
 /// chunk, which the reassembler counts as sink-dropped — the overload
-/// path stays observable end to end.
+/// path stays observable end to end. A sensor that finds the engine's
+/// session table full (open_session's typed kOverload refusal) is refused
+/// the same way, chunk by chunk, and never throws through the receiver.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +69,9 @@ class EngineBinding {
  private:
   bool deliver(std::uint32_t sensor_id, std::uint64_t chunk_seq, CVec&& chunk);
   void end(std::uint32_t sensor_id);
-  rt::SessionId bind(std::uint32_t sensor_id);
+  /// The sensor's session, opened on first sight; nullopt when the
+  /// engine's session table is full.
+  std::optional<rt::SessionId> bind(std::uint32_t sensor_id);
 
   rt::Engine& engine_;
   Config cfg_;

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 #include <variant>
 
 #include "src/common/error.hpp"
 #include "src/obs/clock.hpp"
 #include "src/obs/trace.hpp"
 #include "src/plan/registry.hpp"
-#include "src/rt/compat.hpp"
 
 namespace wivi::rt {
 
@@ -25,16 +25,95 @@ std::int64_t sec_to_ns(double sec) noexcept {
 
 }  // namespace
 
+Event to_legacy_event(SessionId session, api::Event e) {
+  Event out;
+  out.session = session;
+  std::visit(
+      [&out](auto&& ev) {
+        using T = std::decay_t<decltype(ev)>;
+        if constexpr (std::is_same_v<T, api::ColumnEvent>) {
+          out.type = Event::Type::kColumn;
+          out.column_index = ev.column_index;
+          out.time_sec = ev.time_sec;
+          out.column = std::move(ev.column);
+          out.model_order = ev.model_order;
+        } else if constexpr (std::is_same_v<T, api::TracksEvent>) {
+          out.type = Event::Type::kTracks;
+          out.tracks = std::move(ev.tracks);
+          out.num_confirmed = ev.num_confirmed;
+          out.columns_seen = ev.columns_seen;
+        } else if constexpr (std::is_same_v<T, api::BitsEvent>) {
+          out.type = Event::Type::kBits;
+          out.bits = std::move(ev.bits);
+        } else if constexpr (std::is_same_v<T, api::CountEvent>) {
+          out.type = Event::Type::kCount;
+          out.spatial_variance = ev.spatial_variance;
+          out.columns_seen = ev.columns_seen;
+        } else if constexpr (std::is_same_v<T, api::FinishedEvent>) {
+          out.type = Event::Type::kFinished;
+          out.columns_seen = ev.columns_seen;
+          out.spatial_variance = ev.spatial_variance;
+          out.num_confirmed = ev.num_confirmed;
+        } else if constexpr (std::is_same_v<T, api::ErrorEvent>) {
+          out.type = Event::Type::kError;
+          out.error = std::move(ev.message);
+          out.code = ev.code;
+        } else if constexpr (std::is_same_v<T, api::StalledEvent>) {
+          out.type = Event::Type::kStalled;
+          out.silent_sec = ev.silent_sec;
+          out.chunks_in = ev.chunks_seen;
+        } else if constexpr (std::is_same_v<T, api::RecoveredEvent>) {
+          out.type = Event::Type::kRecovered;
+          out.restarts = ev.restarts;
+          out.code = ev.cause;
+          out.error = std::move(ev.message);
+        } else if constexpr (std::is_same_v<T, api::StatsEvent>) {
+          out.type = Event::Type::kStats;
+          out.stats = std::move(ev);
+        } else {
+          static_assert(std::is_same_v<T, api::OverloadEvent>);
+          out.type = Event::Type::kOverload;
+          out.degraded = ev.degraded;
+          out.fidelity = ev.fidelity;
+          out.chunks_dropped = ev.chunks_dropped;
+          out.samples_dropped = ev.samples_dropped;
+        }
+      },
+      std::move(e));
+  return out;
+}
+
+api::Event to_api_event(const Event& e) {
+  switch (e.type) {
+    case Event::Type::kColumn:
+      return api::ColumnEvent{e.column_index, e.time_sec, e.column,
+                              e.model_order};
+    case Event::Type::kTracks:
+      return api::TracksEvent{e.tracks, e.num_confirmed, e.columns_seen};
+    case Event::Type::kBits:
+      return api::BitsEvent{e.bits};
+    case Event::Type::kCount:
+      return api::CountEvent{e.spatial_variance, e.columns_seen};
+    case Event::Type::kFinished:
+      return api::FinishedEvent{e.columns_seen, e.spatial_variance,
+                                e.num_confirmed};
+    case Event::Type::kError:
+      return api::ErrorEvent{e.error, e.code};
+    case Event::Type::kStalled:
+      return api::StalledEvent{e.silent_sec, e.chunks_in};
+    case Event::Type::kRecovered:
+      return api::RecoveredEvent{e.restarts, e.code, e.error};
+    case Event::Type::kOverload:
+      return api::OverloadEvent{e.degraded, e.fidelity, e.chunks_dropped,
+                                e.samples_dropped};
+    case Event::Type::kStats:
+      return e.stats;
+  }
+  throw InvalidArgument("unknown legacy event type");
+}
+
 Engine::Metrics::Metrics(obs::Registry& r)
-    : chunks_in(r.counter("wivi_engine_chunks_in_total")),
-      samples_in(r.counter("wivi_engine_samples_in_total")),
-      chunks_dropped(r.counter("wivi_engine_chunks_dropped_total")),
-      samples_dropped(r.counter("wivi_engine_samples_dropped_total")),
-      chunks_rejected(r.counter("wivi_engine_chunks_rejected_total")),
-      samples_rejected(r.counter("wivi_engine_samples_rejected_total")),
-      samples_processed(r.counter("wivi_engine_samples_processed_total")),
-      samples_lost(r.counter("wivi_engine_samples_lost_total")),
-      events(r.counter("wivi_engine_events_total")),
+    : events(r.counter("wivi_engine_events_total")),
       stalls(r.counter("wivi_engine_stalls_total")),
       timeouts(r.counter("wivi_engine_timeouts_total")),
       restarts(r.counter("wivi_engine_restarts_total")),
@@ -61,23 +140,12 @@ Engine::Session::Session(Engine* engine, SessionId id_,
 
 void Engine::Session::arm_pipeline(Engine* engine) {
   pipeline.emplace(api::PipelineSpec(spec));
-  // The conversion sink: every typed event the pipeline emits becomes one
-  // legacy Event tagged with this session's id. Runs under the session's
-  // claim flag (the pipeline is only driven from there), so the counter
-  // updates and delivery order stay per-session sequential. Terminal
-  // events additionally carry the session's cumulative loss counters.
-  pipeline->set_callback([engine, this](api::Event&& e) {
-    if (const auto* b = std::get_if<api::BitsEvent>(&e))
-      bits_out.fetch_add(b->bits.size(), std::memory_order_relaxed);
-    Event out = to_legacy_event(id, std::move(e));
-    if (out.type == Event::Type::kFinished ||
-        out.type == Event::Type::kError) {
-      out.chunks_dropped = chunks_dropped.load(std::memory_order_relaxed);
-      out.samples_dropped = samples_dropped.load(std::memory_order_relaxed);
-      out.chunks_rejected = chunks_rejected.load(std::memory_order_relaxed);
-    }
-    engine->deliver(std::move(out));
-  });
+  // Every typed event the pipeline emits goes out through the engine's one
+  // delivery function. Runs under the session's claim flag (the pipeline
+  // is only driven from there), so delivery order stays per-session
+  // sequential.
+  pipeline->set_callback(
+      [engine, this](api::Event&& e) { engine->deliver(*this, std::move(e)); });
   if (ingest.fault_hook) pipeline->set_fault_hook(ingest.fault_hook);
   const int f = fidelity.load(std::memory_order_relaxed);
   if (f > 1) pipeline->set_fidelity(f);
@@ -125,18 +193,15 @@ SessionId Engine::open_session(api::PipelineSpec spec, IngestConfig ingest) {
                "thresholds >= 1");
   WIVI_REQUIRE(ingest.stats_interval_sec >= 0.0,
                "stats_interval_sec must be >= 0");
-  m_.sessions_opened.add();
   std::lock_guard lk(register_mu_);
   const std::size_t n = session_count_.load(std::memory_order_relaxed);
-  WIVI_REQUIRE(n < cfg_.max_sessions, "session table full");
+  if (n >= cfg_.max_sessions)
+    throw TypedError(ErrorCode::kOverload, "session table full");
   sessions_[n] = std::make_unique<Session>(this, static_cast<SessionId>(n),
                                            std::move(spec), std::move(ingest));
   session_count_.store(n + 1, std::memory_order_release);
+  m_.sessions_opened.add();
   return static_cast<SessionId>(n);
-}
-
-SessionId Engine::open_session(SessionConfig cfg) {
-  return open_session(to_pipeline_spec(cfg), to_ingest_config(cfg));
 }
 
 SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
@@ -149,13 +214,11 @@ SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
     std::this_thread::yield();
   s.chunks_in.fetch_add(1, std::memory_order_relaxed);
   s.samples_in.fetch_add(trace.size(), std::memory_order_relaxed);
-  m_.chunks_in.add();
-  m_.samples_in.add(trace.size());
   try {
     s.pipeline->run(trace, api::Parallelism{num_threads_});
     s.columns_out.store(s.pipeline->columns_seen(),
                         std::memory_order_relaxed);
-    m_.samples_processed.add(trace.size());
+    s.samples_processed.fetch_add(trace.size(), std::memory_order_relaxed);
     s.closed.store(true, std::memory_order_release);
     s.finished.store(true, std::memory_order_release);
     m_.sessions_finished.add();
@@ -175,10 +238,6 @@ SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
   return id;
 }
 
-SessionId Engine::run_recorded(SessionConfig cfg, CSpan trace) {
-  return run_recorded(to_pipeline_spec(cfg), trace);
-}
-
 bool Engine::offer(SessionId id, CVec chunk) {
   Session& s = session(id);
   WIVI_REQUIRE(!s.closed.load(std::memory_order_relaxed),
@@ -187,8 +246,6 @@ bool Engine::offer(SessionId id, CVec chunk) {
   const std::int64_t now = now_ns();
   s.chunks_in.fetch_add(1, std::memory_order_relaxed);
   s.samples_in.fetch_add(samples, std::memory_order_relaxed);
-  m_.chunks_in.add();
-  m_.samples_in.add(samples);
   // Feed the watchdog: any offer — accepted or dropped — is proof the
   // producer is alive, and re-arms the one-shot kStalled advisory.
   s.last_activity_ns.store(now, std::memory_order_relaxed);
@@ -199,8 +256,6 @@ bool Engine::offer(SessionId id, CVec chunk) {
   if (s.finished.load(std::memory_order_acquire)) {
     s.chunks_dropped.fetch_add(1, std::memory_order_relaxed);
     s.samples_dropped.fetch_add(samples, std::memory_order_relaxed);
-    m_.chunks_dropped.add();
-    m_.samples_dropped.add(samples);
     return false;
   }
 
@@ -214,8 +269,6 @@ bool Engine::offer(SessionId id, CVec chunk) {
           s.finished.load(std::memory_order_acquire)) {
         s.chunks_dropped.fetch_add(1, std::memory_order_relaxed);
         s.samples_dropped.fetch_add(samples, std::memory_order_relaxed);
-        m_.chunks_dropped.add();
-        m_.samples_dropped.add(samples);
         return false;
       }
       wake_workers();
@@ -227,8 +280,6 @@ bool Engine::offer(SessionId id, CVec chunk) {
   if (!s.ring.try_push(std::move(in))) {
     s.chunks_dropped.fetch_add(1, std::memory_order_relaxed);
     s.samples_dropped.fetch_add(samples, std::memory_order_relaxed);
-    m_.chunks_dropped.add();
-    m_.samples_dropped.add(samples);
     return false;
   }
   wake_workers();
@@ -246,14 +297,26 @@ void Engine::set_callback(std::function<void(Event&&)> cb) {
   callback_ = std::move(cb);
 }
 
-void Engine::deliver(Event&& e) {
+/// The one delivery function: the pipeline's own events and the engine's
+/// health events all leave through here (under the session's claim flag),
+/// flattened into the legacy Event. Terminal-kind events additionally
+/// carry the session's cumulative loss counters.
+void Engine::deliver(Session& s, api::Event&& e) {
+  if (const auto* b = std::get_if<api::BitsEvent>(&e))
+    s.bits_out.fetch_add(b->bits.size(), std::memory_order_relaxed);
+  Event out = to_legacy_event(s.id, std::move(e));
+  if (out.type == Event::Type::kFinished || out.type == Event::Type::kError) {
+    out.chunks_dropped = s.chunks_dropped.load(std::memory_order_relaxed);
+    out.samples_dropped = s.samples_dropped.load(std::memory_order_relaxed);
+    out.chunks_rejected = s.chunks_rejected.load(std::memory_order_relaxed);
+  }
   m_.events.add();
   if (callback_) {
-    callback_(std::move(e));
+    callback_(std::move(out));
     return;
   }
   std::lock_guard lk(events_mu_);
-  events_.push_back(std::move(e));
+  events_.push_back(std::move(out));
 }
 
 std::size_t Engine::poll(std::vector<Event>& out) {
@@ -267,7 +330,7 @@ std::size_t Engine::poll(std::vector<Event>& out) {
   return n;
 }
 
-Engine::SessionStats Engine::stats(SessionId id) const {
+SessionStats Engine::stats(SessionId id) const {
   const Session& s = session(id);
   SessionStats st;
   st.chunks_in = s.chunks_in.load(std::memory_order_relaxed);
@@ -291,24 +354,26 @@ Engine::EngineStats Engine::stats() const {
   EngineStats st;
   st.sessions = m_.sessions_opened.value();
   st.sessions_finished = m_.sessions_finished.value();
-  st.chunks_in = m_.chunks_in.value();
-  st.samples_in = m_.samples_in.value();
-  st.chunks_dropped = m_.chunks_dropped.value();
-  st.samples_dropped = m_.samples_dropped.value();
-  st.chunks_rejected = m_.chunks_rejected.value();
-  st.samples_rejected = m_.samples_rejected.value();
-  st.samples_processed = m_.samples_processed.value();
-  st.samples_lost = m_.samples_lost.value();
   st.events_out = m_.events.value();
   st.stalls = m_.stalls.value();
   st.timeouts = m_.timeouts.value();
   st.restarts = m_.restarts.value();
   st.overload_transitions = m_.overload_transitions.value();
+  // The per-session atomics are the only record of these counts; summing
+  // them on read is the one aggregation snapshot() exports too.
   const std::size_t n = session_count_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
-    st.columns_out +=
-        sessions_[i]->columns_out.load(std::memory_order_relaxed);
-    st.bits_out += sessions_[i]->bits_out.load(std::memory_order_relaxed);
+    const Session& s = *sessions_[i];
+    st.chunks_in += s.chunks_in.load(std::memory_order_relaxed);
+    st.samples_in += s.samples_in.load(std::memory_order_relaxed);
+    st.chunks_dropped += s.chunks_dropped.load(std::memory_order_relaxed);
+    st.samples_dropped += s.samples_dropped.load(std::memory_order_relaxed);
+    st.chunks_rejected += s.chunks_rejected.load(std::memory_order_relaxed);
+    st.samples_rejected += s.samples_rejected.load(std::memory_order_relaxed);
+    st.samples_processed += s.samples_processed.load(std::memory_order_relaxed);
+    st.samples_lost += s.samples_lost.load(std::memory_order_relaxed);
+    st.columns_out += s.columns_out.load(std::memory_order_relaxed);
+    st.bits_out += s.bits_out.load(std::memory_order_relaxed);
   }
   const plan::Stats ps = plan::registry().stats();
   st.plan_hits = ps.hits;
@@ -320,54 +385,46 @@ Engine::EngineStats Engine::stats() const {
   st.plan_resident_bytes = ps.resident_bytes;
   st.ingress_wait = m_.ingress_wait_ns.snapshot();
   st.chunk_latency = m_.chunk_latency_ns.snapshot();
-  // Network-ingress mirror: a net::Receiver constructed with this
-  // engine's registry() interns the wivi_net_* family there; reading it
-  // back by name keeps rt free of a compile-time dependency on net.
-  const obs::Snapshot reg = registry_.snapshot();
-  st.net_frames_in = reg.counter_value("wivi_net_frames_in_total");
-  st.net_frames_accepted = reg.counter_value("wivi_net_frames_accepted_total");
-  st.net_frames_rejected = reg.counter_value("wivi_net_frames_rejected_total");
-  st.net_frames_dup = reg.counter_value("wivi_net_frames_dup_total");
-  st.net_frames_evicted = reg.counter_value("wivi_net_frames_evicted_total");
-  st.net_frames_in_flight = reg.counter_value("wivi_net_frames_in_flight");
-  st.net_chunks_delivered = reg.counter_value("wivi_net_chunks_delivered_total");
-  st.net_chunk_gaps = reg.counter_value("wivi_net_chunk_gaps_total");
-  st.net_ring_full_drops = reg.counter_value("wivi_net_ring_full_drops_total");
-  st.net_bytes_in = reg.counter_value("wivi_net_bytes_in_total");
   return st;
 }
 
 obs::Snapshot Engine::snapshot() const {
   obs::Snapshot snap = registry_.snapshot();
   snap.source = "wivi::rt::Engine";
-  // Ring cursor sums and per-session output sums, aggregated on read —
-  // the rings count for themselves, so recording costs the hot path
-  // nothing (the PR-6 counters unified behind the obs naming scheme).
-  std::uint64_t pushes = 0, pops = 0, drops = 0, columns = 0, bits = 0;
+  // The per-session sums come from stats(), so the two surfaces cannot
+  // disagree.
+  const EngineStats st = stats();
+  snap.add_counter("wivi_engine_chunks_in_total", st.chunks_in);
+  snap.add_counter("wivi_engine_samples_in_total", st.samples_in);
+  snap.add_counter("wivi_engine_chunks_dropped_total", st.chunks_dropped);
+  snap.add_counter("wivi_engine_samples_dropped_total", st.samples_dropped);
+  snap.add_counter("wivi_engine_chunks_rejected_total", st.chunks_rejected);
+  snap.add_counter("wivi_engine_samples_rejected_total", st.samples_rejected);
+  snap.add_counter("wivi_engine_samples_processed_total", st.samples_processed);
+  snap.add_counter("wivi_engine_samples_lost_total", st.samples_lost);
+  snap.add_counter("wivi_engine_columns_total", st.columns_out);
+  snap.add_counter("wivi_engine_bits_total", st.bits_out);
+  // Ring cursor sums: the rings count for themselves, so recording costs
+  // the hot path nothing.
+  std::uint64_t pushes = 0, pops = 0, drops = 0;
   const std::size_t n = session_count_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
-    const Session& s = *sessions_[i];
-    pushes += s.ring.pushes();
-    pops += s.ring.pops();
-    drops += s.ring.drops();
-    columns += s.columns_out.load(std::memory_order_relaxed);
-    bits += s.bits_out.load(std::memory_order_relaxed);
+    pushes += sessions_[i]->ring.pushes();
+    pops += sessions_[i]->ring.pops();
+    drops += sessions_[i]->ring.drops();
   }
   snap.add_counter("wivi_ring_pushes_total", pushes);
   snap.add_counter("wivi_ring_pops_total", pops);
   snap.add_counter("wivi_ring_drops_total", drops);
-  snap.add_counter("wivi_engine_columns_total", columns);
-  snap.add_counter("wivi_engine_bits_total", bits);
   // Shared-plan registry: process-wide cache counters plus the residency
   // gauges (counters and gauges share the scalar slot; see obs::Snapshot).
-  const plan::Stats ps = plan::registry().stats();
-  snap.add_counter("wivi_plan_hits_total", ps.hits);
-  snap.add_counter("wivi_plan_misses_total", ps.misses);
-  snap.add_counter("wivi_plan_builds_total", ps.builds);
-  snap.add_counter("wivi_plan_evictions_total", ps.evictions);
-  snap.add_counter("wivi_plan_ghost_hits_total", ps.ghost_hits);
-  snap.add_counter("wivi_plan_resident_plans", ps.resident_plans);
-  snap.add_counter("wivi_plan_resident_bytes", ps.resident_bytes);
+  snap.add_counter("wivi_plan_hits_total", st.plan_hits);
+  snap.add_counter("wivi_plan_misses_total", st.plan_misses);
+  snap.add_counter("wivi_plan_builds_total", st.plan_builds);
+  snap.add_counter("wivi_plan_evictions_total", st.plan_evictions);
+  snap.add_counter("wivi_plan_ghost_hits_total", st.plan_ghost_hits);
+  snap.add_counter("wivi_plan_resident_plans", st.plan_resident_plans);
+  snap.add_counter("wivi_plan_resident_bytes", st.plan_resident_bytes);
   return snap;
 }
 
@@ -497,8 +554,8 @@ bool Engine::try_process(Session& s) {
   // An exception from a pipeline stage (WIVI_REQUIRE on pathological
   // input) or from a throwing user callback must not escape the worker
   // thread — that would std::terminate the whole service. It fails this
-  // session only: the pipeline delivers its own ErrorEvent (converted to
-  // kError) on the way out, and handle_failure() either re-arms the
+  // session only: the pipeline delivers its own ErrorEvent (a kError) on
+  // the way out, and handle_failure() either re-arms the
   // session under its RestartPolicy or marks it finished so drain()
   // still returns.
   bool did_work = false;
@@ -547,7 +604,7 @@ void Engine::process_chunk(Session& s, Ingested in) {
   if (popped > in.ingress_ns)
     m_.ingress_wait_ns.record(
         static_cast<std::uint64_t>(popped - in.ingress_ns));
-  // The pipeline emits every event itself (through the conversion sink
+  // The pipeline emits every event itself (through the delivery sink
   // installed at arm time); the engine only maintains the counters. The
   // counter is synced even when event delivery throws mid-chunk: the
   // image columns were completed before delivery started, and some may
@@ -562,21 +619,19 @@ void Engine::process_chunk(Session& s, Ingested in) {
       // session stays healthy, the malformed chunk is only counted.
       s.chunks_rejected.fetch_add(1, std::memory_order_relaxed);
       s.samples_rejected.fetch_add(chunk.size(), std::memory_order_relaxed);
-      m_.chunks_rejected.add();
-      m_.samples_rejected.add(chunk.size());
       return;
     }
-    m_.samples_lost.add(chunk.size());
+    s.samples_lost.fetch_add(chunk.size(), std::memory_order_relaxed);
     throw;
   } catch (...) {
     s.columns_out.store(s.columns_base + s.pipeline->columns_seen(),
                         std::memory_order_relaxed);
-    m_.samples_lost.add(chunk.size());
+    s.samples_lost.fetch_add(chunk.size(), std::memory_order_relaxed);
     throw;
   }
   s.columns_out.store(s.columns_base + s.pipeline->columns_seen(),
                       std::memory_order_relaxed);
-  m_.samples_processed.add(chunk.size());
+  s.samples_processed.fetch_add(chunk.size(), std::memory_order_relaxed);
   // End-to-end chunk latency: offer() to fully processed (events
   // delivered). Engine-wide and per-session (the kStats payload).
   const std::int64_t done = now_ns();
@@ -614,14 +669,9 @@ void Engine::check_overload(Session& s) {
   s.drops_acked = drops;
   s.clean_chunks = 0;
   m_.overload_transitions.add();
-  Event e;
-  e.session = s.id;
-  e.type = Event::Type::kOverload;
-  e.degraded = !degraded;
-  e.fidelity = s.fidelity.load(std::memory_order_relaxed);
-  e.chunks_dropped = drops;
-  e.samples_dropped = s.samples_dropped.load(std::memory_order_relaxed);
-  deliver(std::move(e));
+  deliver(s, api::OverloadEvent{
+                 !degraded, s.fidelity.load(std::memory_order_relaxed), drops,
+                 s.samples_dropped.load(std::memory_order_relaxed)});
 }
 
 /// Watchdog tick for an idle session (runs under the claim flag): one
@@ -640,12 +690,8 @@ void Engine::check_watchdog(Session& s, std::int64_t now) {
   }
   if (s.stall_flagged.exchange(true, std::memory_order_relaxed)) return;
   m_.stalls.add();
-  Event e;
-  e.session = s.id;
-  e.type = Event::Type::kStalled;
-  e.silent_sec = static_cast<double>(silent) * 1e-9;
-  e.chunks_in = s.chunks_in.load(std::memory_order_relaxed);
-  deliver(std::move(e));
+  deliver(s, api::StalledEvent{static_cast<double>(silent) * 1e-9,
+                               s.chunks_in.load(std::memory_order_relaxed)});
 }
 
 /// Periodic per-session telemetry (runs under the claim flag): one kStats
@@ -656,11 +702,7 @@ void Engine::maybe_emit_stats(Session& s, std::int64_t now) {
   if (now < s.next_stats_ns.load(std::memory_order_relaxed)) return;
   s.next_stats_ns.store(now + sec_to_ns(s.ingest.stats_interval_sec),
                         std::memory_order_relaxed);
-  Event e;
-  e.session = s.id;
-  e.type = Event::Type::kStats;
-  e.stats = stats(s.id);
-  deliver(std::move(e));
+  deliver(s, stats(s.id));
 }
 
 void Engine::finalize(Session& s) {
@@ -704,13 +746,7 @@ void Engine::handle_failure(Session& s, ErrorCode code,
                          std::memory_order_release);
   }
   try {
-    Event e;
-    e.session = s.id;
-    e.type = Event::Type::kRecovered;
-    e.restarts = r;
-    e.code = code;
-    e.error = what;
-    deliver(std::move(e));
+    deliver(s, api::RecoveredEvent{r, code, what});
   } catch (...) {
     // The callback threw again (or allocation failed): the kRecovered is
     // lost but the session is restarted all the same.
@@ -724,20 +760,12 @@ void Engine::fail_session(Session& s, ErrorCode code,
   // kError. Callers hold the claim flag, so this read cannot race a
   // concurrent transition.
   if (s.finished.load(std::memory_order_acquire)) return;
-  // The pipeline delivers its own ErrorEvent (already converted to kError
-  // by the session sink) when one of its stages or the sink threw; only
-  // engine-side failures outside the pipeline still need one here.
+  // The pipeline delivers its own ErrorEvent when one of its stages or
+  // the sink threw; only engine-side failures outside the pipeline still
+  // need one here.
   if (!s.pipeline || !s.pipeline->failed()) {
     try {
-      Event e;
-      e.session = s.id;
-      e.type = Event::Type::kError;
-      e.error = what;
-      e.code = code;
-      e.chunks_dropped = s.chunks_dropped.load(std::memory_order_relaxed);
-      e.samples_dropped = s.samples_dropped.load(std::memory_order_relaxed);
-      e.chunks_rejected = s.chunks_rejected.load(std::memory_order_relaxed);
-      deliver(std::move(e));
+      deliver(s, api::ErrorEvent{what, code});
     } catch (...) {
       // The callback threw again (or allocation failed): the error event
       // is lost but the session still dies cleanly.
@@ -748,7 +776,8 @@ void Engine::fail_session(Session& s, ErrorCode code,
   // (samples_in == processed + dropped + rejected + lost) stays exact.
   // Callers hold the claim flag, so draining the consumer side is safe.
   Ingested in;
-  while (s.ring.try_pop(in)) m_.samples_lost.add(in.samples.size());
+  while (s.ring.try_pop(in))
+    s.samples_lost.fetch_add(in.samples.size(), std::memory_order_relaxed);
   s.finished.store(true, std::memory_order_release);
   m_.sessions_finished.add();
 }

@@ -15,8 +15,9 @@
 ///
 /// Sessions are opened from an api::PipelineSpec plus an IngestConfig (the
 /// ring/backpressure knobs that only exist in the multiplexed setting).
-/// The legacy SessionConfig/Event surface is kept as deprecated shims that
-/// convert to/from the api types (src/rt/compat.hpp).
+/// Every delivered event starts as a typed api::Event — the pipeline's
+/// own output or one of the engine's health events — and is flattened
+/// into the legacy rt::Event at one point, to_legacy_event().
 ///
 /// Ownership/threading rules are spelled out in DESIGN.md §4. The short
 /// version: one producer thread per session at a time; Engine owns every
@@ -34,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/api/events.hpp"
 #include "src/api/session.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/rt/spsc_ring.hpp"
@@ -113,16 +115,16 @@ struct IngestConfig {
   /// What offer() does when the ring is full.
   Backpressure backpressure = Backpressure::kDropNewest;
   /// Bounded-retry recovery of pipeline failures (default: none).
-  RestartPolicy restart;
+  RestartPolicy restart{};
   /// Feeder-liveness watchdog (default: disabled).
-  WatchdogConfig watchdog;
+  WatchdogConfig watchdog{};
   /// Degrade-under-overload ladder (default: disabled).
-  OverloadPolicy overload;
+  OverloadPolicy overload{};
   /// Chaos-engineering failpoint forwarded to
   /// wivi::Session::set_fault_hook on every (re)armed pipeline — how the
   /// fault-injection suites script stage exceptions at exact chunk
   /// indices inside a multiplexed session (fault::throw_hook).
-  std::function<void(std::size_t)> fault_hook;
+  std::function<void(std::size_t)> fault_hook{};
   /// Emit a periodic kStats event carrying the session's SessionStats
   /// (cumulative counters + chunk-latency summary) at least this many
   /// seconds apart — in-band telemetry a sink can watch without polling
@@ -131,63 +133,15 @@ struct IngestConfig {
   double stats_interval_sec = 0.0;
 };
 
-/// Point-in-time per-session counters (see Engine::stats(SessionId)).
-struct SessionStats {
-  std::uint64_t chunks_in = 0;         ///< chunks offered
-  std::uint64_t samples_in = 0;        ///< samples offered
-  std::uint64_t chunks_dropped = 0;    ///< chunks lost to backpressure
-  std::uint64_t samples_dropped = 0;   ///< samples lost to backpressure
-  std::uint64_t chunks_rejected = 0;   ///< chunks the InputGuard rejected
-  std::uint64_t samples_rejected = 0;  ///< samples in rejected chunks
-  std::uint64_t columns_out = 0;       ///< image columns produced
-  std::uint64_t bits_out = 0;          ///< gesture bits emitted
-  int restarts = 0;                    ///< RestartPolicy restarts consumed
-  int fidelity = 1;                    ///< angle decimation in effect
-  bool stalled = false;                ///< watchdog advisory in effect
-  bool closed = false;                 ///< close_session() called
-  bool finished = false;               ///< drained and finalised (or dead)
-  /// Offer→processed chunk latency summary, nanoseconds (fills only while
-  /// obs recording is enabled).
-  obs::HistogramSnapshot latency;
-};
-
-/// Per-session processing configuration.
-/// @deprecated Legacy bool-flag surface, kept as a shim: it converts to an
-/// api::PipelineSpec + IngestConfig (src/rt/compat.hpp). New code should
-/// open sessions with Engine::open_session(api::PipelineSpec, IngestConfig).
-struct SessionConfig {
-  /// Image-stage (smoothed MUSIC) configuration of the session.
-  core::MotionTracker::Config tracker;
-  /// Absolute time of the session's first sample.
-  double t0 = 0.0;
-  /// Emit a kColumn event per completed image column (costs one column
-  /// copy; turn off for counting-only workloads).
-  bool emit_columns = true;
-  /// Attach a gesture stage to the session.
-  bool decode_gestures = false;
-  /// Attach a counting stage to the session.
-  bool count_movers = false;
-  /// Attach a multi-target tracking stage: kTracks events carry the live
-  /// multi-target snapshots after each processed batch of columns.
-  bool track_targets = false;
-  /// Gesture-stage configuration (used when decode_gestures).
-  StreamingGesture::Config gesture;
-  /// Multi-target tracking configuration (used when track_targets).
-  track::MultiTargetTracker::Config multi_track;
-  /// dB cap of the counting stage (used when count_movers).
-  double counter_cap_db = 60.0;
-  /// Ingest ring depth in chunks (rounded up to a power of two).
-  std::size_t ring_capacity = 256;
-  /// What offer() does when the ring is full.
-  Backpressure backpressure = Backpressure::kDropNewest;
-};
+/// Point-in-time per-session counters (see Engine::stats(SessionId)): the
+/// same record a periodic kStats event carries.
+using SessionStats = api::StatsEvent;
 
 /// One unit of output, delivered via poll() or the callback. Per-session
 /// event order is deterministic; the interleaving across sessions is not.
-/// @deprecated Legacy fat-union event, kept as a shim over the typed
-/// api::Event variant the pipelines emit: which payload fields are
-/// meaningful depends on `type`. Convert with rt::to_api_event() or
-/// consume api::Events from a standalone wivi::Session instead.
+/// @deprecated Legacy fat-union event: which payload fields are meaningful
+/// depends on `type`. Every instance is built by to_legacy_event() from a
+/// typed api::Event, and to_api_event() recovers it.
 struct Event {
   /// What this event reports.
   enum class Type {
@@ -259,6 +213,14 @@ struct Event {
   SessionStats stats;
 };
 
+/// The legacy engine event carrying the payload of a typed api::Event for
+/// session `session` — the one place an rt::Event is built.
+[[nodiscard]] Event to_legacy_event(SessionId session, api::Event e);
+
+/// The typed api::Event carried by a legacy engine event (the session id
+/// is dropped — api::Events are per-session by construction).
+[[nodiscard]] api::Event to_api_event(const Event& e);
+
 /// The session table plus worker pool: opens sessions, ingests chunks,
 /// drains them through their compiled pipelines and delivers Events.
 class Engine {
@@ -274,11 +236,6 @@ class Engine {
     /// and the bound on how long one session monopolises a worker.
     int chunks_per_claim = 4;
   };
-
-  /// Per-session counters, now a namespace-scope type (the kStats Event
-  /// carries one); this alias keeps the historical Engine::SessionStats
-  /// spelling working.
-  using SessionStats = wivi::rt::SessionStats;
 
   /// Engine-wide cumulative telemetry (see stats() with no argument):
   /// sums over every session this engine has ever opened.
@@ -309,21 +266,6 @@ class Engine {
     std::uint64_t plan_ghost_hits = 0;   ///< misses that matched an evicted key
     std::uint64_t plan_resident_plans = 0;  ///< gauge: plans resident now
     std::uint64_t plan_resident_bytes = 0;  ///< gauge: bytes resident now
-    // Network-ingress counters: the `wivi_net_*` family a net::Receiver
-    // registers when constructed with this engine's registry() (all zero
-    // when no receiver is bound). The wire boundary obeys
-    // frames_in == accepted + rejected; accepted frames then follow the
-    // reassembly conservation law (src/net/reassembler.hpp).
-    std::uint64_t net_frames_in = 0;        ///< frames presented to the parser
-    std::uint64_t net_frames_accepted = 0;  ///< frames parsed and routed
-    std::uint64_t net_frames_rejected = 0;  ///< typed parse rejections
-    std::uint64_t net_frames_dup = 0;       ///< duplicate fragment arrivals
-    std::uint64_t net_frames_evicted = 0;   ///< frames lost to window evictions
-    std::uint64_t net_frames_in_flight = 0; ///< gauge: frames in partial chunks
-    std::uint64_t net_chunks_delivered = 0; ///< complete chunks handed to sinks
-    std::uint64_t net_chunk_gaps = 0;       ///< chunk sequence numbers never seen
-    std::uint64_t net_ring_full_drops = 0;  ///< chunks refused by a full ring
-    std::uint64_t net_bytes_in = 0;         ///< wire bytes received
     obs::HistogramSnapshot ingress_wait;  ///< offer→pop ring wait, ns
     obs::HistogramSnapshot chunk_latency; ///< offer→processed latency, ns
   };
@@ -345,15 +287,10 @@ class Engine {
   }
 
   /// Register a new session running the given compiled-on-open pipeline
-  /// spec, fed through a ring with the given ingestion policy.
-  /// Thread-safe.
+  /// spec, fed through a ring with the given ingestion policy. Throws
+  /// TypedError(ErrorCode::kOverload) when all Config::max_sessions slots
+  /// are taken — a refusal, not a fault. Thread-safe.
   SessionId open_session(api::PipelineSpec spec, IngestConfig ingest = {});
-
-  /// Register a new session from the legacy bool-flag configuration.
-  /// Thread-safe.
-  /// @deprecated Shim: converts `cfg` with rt::to_pipeline_spec() /
-  /// rt::to_ingest_config() and behaves identically to the spec overload.
-  SessionId open_session(SessionConfig cfg);
 
   /// Offline fast path for a fully recorded trace: open a session and
   /// execute its pipeline in the parallel-offline mode
@@ -368,10 +305,6 @@ class Engine {
   /// returns the finished session's id; offer() on it is an error.
   /// Thread-safe, and concurrent callers parallelise independently.
   SessionId run_recorded(api::PipelineSpec spec, CSpan trace);
-
-  /// Offline fast path from the legacy configuration.
-  /// @deprecated Shim: converts `cfg` and calls the spec overload.
-  SessionId run_recorded(SessionConfig cfg, CSpan trace);
 
   /// Ingest one chunk (one producer thread per session at a time). Returns
   /// false iff the chunk was dropped: kDropNewest with a full ring, or —
@@ -407,14 +340,18 @@ class Engine {
   /// exact once it is finished).
   [[nodiscard]] SessionStats stats(SessionId id) const;
 
-  /// Engine-wide cumulative telemetry: the registry counters plus sums of
-  /// the per-session counters. Safe any time; exact once quiet.
+  /// Engine-wide cumulative telemetry: sums of the per-session counters
+  /// (every term of the sample conservation law, columns, bits) plus the
+  /// registry's lifecycle and health counters. Safe any time; exact once
+  /// quiet.
   [[nodiscard]] EngineStats stats() const;
 
   /// The engine's telemetry as one exportable obs::Snapshot: every
   /// registry metric (`wivi_engine_*`, `wivi_ingress_wait_ns`,
-  /// `wivi_chunk_latency_ns`) plus the ring cursor sums
-  /// (`wivi_ring_{pushes,pops,drops}_total`) and per-session output sums.
+  /// `wivi_chunk_latency_ns`, and any `wivi_net_*` family a net::Receiver
+  /// interned in registry()), the per-session sums of stats() under their
+  /// `wivi_engine_*_total` names, the ring cursor sums
+  /// (`wivi_ring_{pushes,pops,drops}_total`) and the shared-plan counters.
   /// Feed it to obs::write_snapshot, or use write_snapshot() directly.
   [[nodiscard]] obs::Snapshot snapshot() const;
 
@@ -462,7 +399,7 @@ class Engine {
             IngestConfig ingest_);
 
     /// (Re)compile `spec` into a fresh pipeline and wire it up: the
-    /// conversion sink, the fault hook and the currently commanded
+    /// delivery sink, the fault hook and the currently commanded
     /// fidelity. Runs at open and, under the claim flag, at every
     /// RestartPolicy restart.
     void arm_pipeline(Engine* engine);
@@ -483,16 +420,21 @@ class Engine {
     /// workers.
     std::atomic<bool> busy{false};
 
+    // The only record of the session's sample accounting and output
+    // counts: stats(), snapshot() and the kStats/terminal events all read
+    // these (relaxed atomics, so they can be read while the session runs).
     // Producer-side counters.
     std::atomic<std::uint64_t> chunks_in{0};
     std::atomic<std::uint64_t> samples_in{0};
     std::atomic<std::uint64_t> chunks_dropped{0};
     std::atomic<std::uint64_t> samples_dropped{0};
-    // Worker-side counters (relaxed atomics: read by stats() while live).
+    // Worker-side counters.
     std::atomic<std::uint64_t> columns_out{0};
     std::atomic<std::uint64_t> bits_out{0};
     std::atomic<std::uint64_t> chunks_rejected{0};
     std::atomic<std::uint64_t> samples_rejected{0};
+    std::atomic<std::uint64_t> samples_processed{0};
+    std::atomic<std::uint64_t> samples_lost{0};
 
     // Watchdog state: last producer activity (steady-clock ns) and
     // whether the advisory kStalled for the current silence has fired.
@@ -523,14 +465,6 @@ class Engine {
   /// through cached references (DESIGN.md §10 naming scheme).
   struct Metrics {
     explicit Metrics(obs::Registry& r);
-    obs::Counter& chunks_in;
-    obs::Counter& samples_in;
-    obs::Counter& chunks_dropped;
-    obs::Counter& samples_dropped;
-    obs::Counter& chunks_rejected;
-    obs::Counter& samples_rejected;
-    obs::Counter& samples_processed;
-    obs::Counter& samples_lost;
     obs::Counter& events;
     obs::Counter& stalls;
     obs::Counter& timeouts;
@@ -551,7 +485,7 @@ class Engine {
   void finalize(Session& s);
   void handle_failure(Session& s, ErrorCode code, const char* what) noexcept;
   void fail_session(Session& s, ErrorCode code, const char* what) noexcept;
-  void deliver(Event&& e);
+  void deliver(Session& s, api::Event&& e);
   void wake_workers() noexcept;
   [[nodiscard]] Session& session(SessionId id) const;
 

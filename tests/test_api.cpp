@@ -4,8 +4,7 @@
 // execution mode — batch (core::MotionTracker / GestureDecoder /
 // spatial_variance / track_image), chunked streaming, column-parallel
 // offline (par::ParallelImageBuilder) and engine-multiplexed (rt::Engine,
-// through both the new spec entry point and the deprecated SessionConfig
-// shim).
+// whose legacy rt::Event round-trips every typed event losslessly).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "src/core/gesture.hpp"
 #include "src/core/tracker.hpp"
 #include "src/par/image_builder.hpp"
-#include "src/rt/compat.hpp"
 #include "src/rt/engine.hpp"
 #include "src/sim/synthetic.hpp"
 #include "src/track/multi_tracker.hpp"
@@ -125,10 +123,21 @@ void expect_events_identical(const std::vector<api::Event>& a,
             EXPECT_EQ(ea.samples_in, eb.samples_in) << label;
             EXPECT_EQ(ea.chunks_dropped, eb.chunks_dropped) << label;
             EXPECT_EQ(ea.samples_dropped, eb.samples_dropped) << label;
+            EXPECT_EQ(ea.chunks_rejected, eb.chunks_rejected) << label;
+            EXPECT_EQ(ea.samples_rejected, eb.samples_rejected) << label;
             EXPECT_EQ(ea.columns_out, eb.columns_out) << label;
             EXPECT_EQ(ea.bits_out, eb.bits_out) << label;
             EXPECT_EQ(ea.restarts, eb.restarts) << label;
+            EXPECT_EQ(ea.fidelity, eb.fidelity) << label;
+            EXPECT_EQ(ea.stalled, eb.stalled) << label;
+            EXPECT_EQ(ea.closed, eb.closed) << label;
+            EXPECT_EQ(ea.finished, eb.finished) << label;
             EXPECT_EQ(ea.latency.count, eb.latency.count) << label;
+            EXPECT_EQ(ea.latency.sum, eb.latency.sum) << label;
+            EXPECT_EQ(ea.latency.p50, eb.latency.p50) << label;
+            EXPECT_EQ(ea.latency.p90, eb.latency.p90) << label;
+            EXPECT_EQ(ea.latency.p99, eb.latency.p99) << label;
+            EXPECT_EQ(ea.latency.max, eb.latency.max) << label;
           } else {
             static_assert(std::is_same_v<T, api::OverloadEvent>);
             EXPECT_EQ(ea.degraded, eb.degraded) << label;
@@ -402,47 +411,52 @@ TEST(EngineFacadeParity, MultiplexedEqualsStandaloneSession) {
   expect_events_identical(standalone_events, engine_events, "engine events");
 }
 
-TEST(EngineFacadeParity, LegacySessionConfigShimEqualsSpec) {
-  const CVec& h = crossing_trace();
-
-  rt::SessionConfig legacy_cfg;
-  legacy_cfg.track_targets = true;
-  legacy_cfg.count_movers = true;
-  legacy_cfg.decode_gestures = true;
-  legacy_cfg.backpressure = rt::Backpressure::kBlock;
-
-  // The shim conversion round-trips.
-  const api::PipelineSpec spec = rt::to_pipeline_spec(legacy_cfg);
-  EXPECT_TRUE(spec.track && spec.gesture && spec.count);
-  const rt::SessionConfig round =
-      rt::to_session_config(spec, rt::to_ingest_config(legacy_cfg));
-  EXPECT_EQ(round.track_targets, legacy_cfg.track_targets);
-  EXPECT_EQ(round.count_movers, legacy_cfg.count_movers);
-  EXPECT_EQ(round.decode_gestures, legacy_cfg.decode_gestures);
-  EXPECT_EQ(round.emit_columns, legacy_cfg.emit_columns);
-  EXPECT_EQ(round.counter_cap_db, legacy_cfg.counter_cap_db);
-  EXPECT_EQ(round.ring_capacity, legacy_cfg.ring_capacity);
-  EXPECT_EQ(round.backpressure, legacy_cfg.backpressure);
-  EXPECT_EQ(round.t0, legacy_cfg.t0);
-
-  // Both engine entry points produce identical results.
-  rt::Engine engine({.num_threads = 2});
-  const rt::SessionId via_legacy = engine.open_session(legacy_cfg);
-  const rt::SessionId via_spec = engine.open_session(
-      rt::to_pipeline_spec(legacy_cfg), rt::to_ingest_config(legacy_cfg));
-  for (std::size_t pos = 0; pos < h.size(); pos += 128) {
-    CSpan c = CSpan(h).subspan(pos, std::min<std::size_t>(128, h.size() - pos));
-    engine.offer(via_legacy, CVec(c.begin(), c.end()));
-    engine.offer(via_spec, CVec(c.begin(), c.end()));
+TEST(EngineFacadeParity, LegacyEventRoundTripsEveryTypedEvent) {
+  // One non-default value of each api::Event alternative; the engine's
+  // legacy flattening must carry every field there and back.
+  const std::vector<api::Event> typed = {
+      api::ColumnEvent{3, 1.25, RVec{0.5, 2.0, 4.5}, 2},
+      api::TracksEvent{{{.id = 7,
+                          .state = track::TrackState::kConfirmed,
+                          .angle_deg = 12.5,
+                          .velocity_dps = -3.0,
+                          .time_sec = 3.2,
+                          .updated = true,
+                          .strength_db = 9.0,
+                          .age_columns = 40}},
+                       1,
+                       41},
+      api::BitsEvent{{{.value = core::Bit::kOne, .time_sec = 2.5,
+                       .snr_db = 17.0}}},
+      api::CountEvent{0.75, 12},
+      api::FinishedEvent{99, 0.5, 2},
+      api::ErrorEvent{"stage threw", ErrorCode::kSinkFailure},
+      api::StalledEvent{1.5, 44},
+      api::RecoveredEvent{2, ErrorCode::kTimeout, "watchdog"},
+      api::OverloadEvent{true, 4, 10, 640},
+      api::StatsEvent{.chunks_in = 5,
+                      .samples_in = 320,
+                      .chunks_dropped = 1,
+                      .samples_dropped = 64,
+                      .chunks_rejected = 2,
+                      .samples_rejected = 128,
+                      .columns_out = 7,
+                      .bits_out = 3,
+                      .restarts = 1,
+                      .fidelity = 4,
+                      .stalled = true,
+                      .closed = true,
+                      .latency = {.count = 9, .sum = 900, .p50 = 80,
+                                  .p90 = 150, .p99 = 190, .max = 200}},
+  };
+  ASSERT_EQ(typed.size(), std::variant_size_v<api::Event>);
+  std::vector<api::Event> round;
+  for (const api::Event& e : typed) {
+    const rt::Event legacy = rt::to_legacy_event(5, e);
+    EXPECT_EQ(legacy.session, 5u);
+    round.push_back(rt::to_api_event(legacy));
   }
-  engine.close_session(via_legacy);
-  engine.close_session(via_spec);
-  engine.drain();
-  expect_images_identical(engine.tracker(via_legacy).image(),
-                          engine.tracker(via_spec).image(), "shim image");
-  expect_histories_identical(engine.multi_tracker(via_legacy).histories(),
-                             engine.multi_tracker(via_spec).histories(),
-                             "shim tracks");
+  expect_events_identical(typed, round, "legacy round trip");
 }
 
 TEST(EngineFacadeParity, RunRecordedEqualsParallelRun) {
@@ -479,9 +493,9 @@ TEST(SessionLifecycle, RejectsUseAfterFinish) {
 TEST(SessionLifecycle, AccessorsRequireTheirStage) {
   api::PipelineSpec spec;  // image only
   api::Session session(spec);
-  EXPECT_THROW(session.multi_tracker(), InvalidArgument);
-  EXPECT_THROW(session.gesture_result(), InvalidArgument);
-  EXPECT_THROW(session.spatial_variance(), InvalidArgument);
+  EXPECT_THROW((void)session.multi_tracker(), InvalidArgument);
+  EXPECT_THROW((void)session.gesture_result(), InvalidArgument);
+  EXPECT_THROW((void)session.spatial_variance(), InvalidArgument);
 }
 
 TEST(SessionLifecycle, CallbackMustBeInstalledFresh) {

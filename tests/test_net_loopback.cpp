@@ -4,8 +4,8 @@
 // headline assertion is parity: a network-fed engine must produce the
 // byte-identical typed event stream an in-process feed of the same
 // chunks produces. Also pins the wivi_net_* metric export (engine
-// snapshot + EngineStats mirror) and typed rejection of malformed
-// datagrams arriving over a real socket.
+// snapshot), typed rejection of malformed datagrams arriving over a real
+// socket, and the refusal of sensors that find the session table full.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -71,6 +71,16 @@ void pump(net::Receiver& rx) {
     else
       idle = 0;
   }
+}
+
+/// Wait (up to ~2 s) until a background-polling receiver registered with
+/// `engine` has accepted `frames`. Reads the atomic wivi_net_* counters:
+/// the receiver's WireStats belong to its poll thread until stop().
+void wait_for_accepted(const rt::Engine& engine, std::uint64_t frames) {
+  for (int i = 0; i < 2000 && engine.snapshot().counter_value(
+                                  "wivi_net_frames_accepted_total") < frames;
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
 /// One network-fed engine run over the given transport; returns the
@@ -239,7 +249,7 @@ TEST(Loopback, MalformedDatagramsRejectTypedOverRealSockets) {
   EXPECT_EQ(delivered, 1u);
 }
 
-TEST(Loopback, NetMetricsExportThroughEngineSnapshotAndStats) {
+TEST(Loopback, NetMetricsExportThroughEngineSnapshot) {
   rt::Engine::Config ec;
   ec.num_threads = 1;
   rt::Engine engine(ec);
@@ -271,6 +281,7 @@ TEST(Loopback, NetMetricsExportThroughEngineSnapshotAndStats) {
       snap.counter_value("wivi_net_frames_control_total");
   EXPECT_EQ(frames_in, sender.frames_sent());
   EXPECT_EQ(accepted, frames_in);
+  EXPECT_EQ(snap.counter_value("wivi_net_frames_rejected_total"), 0u);
   // Conservation at the metric level: every accepted frame reached a
   // terminal bucket once the flush ran.
   EXPECT_EQ(accepted, delivered + control +
@@ -286,15 +297,9 @@ TEST(Loopback, NetMetricsExportThroughEngineSnapshotAndStats) {
   EXPECT_EQ(snap.counter_value("wivi_net_bytes_in_total"),
             sender.bytes_sent());
   EXPECT_EQ(snap.counter_value("wivi_net_sensors"), 1u);
-
-  // The EngineStats mirror carries the same numbers for stats() callers.
-  const rt::Engine::EngineStats st = engine.stats();
-  EXPECT_EQ(st.net_frames_in, frames_in);
-  EXPECT_EQ(st.net_frames_accepted, accepted);
-  EXPECT_EQ(st.net_frames_rejected, 0u);
-  EXPECT_EQ(st.net_chunks_delivered,
-            snap.counter_value("wivi_net_chunks_delivered_total"));
-  EXPECT_EQ(st.net_bytes_in, sender.bytes_sent());
+  // Every delivered chunk was offered to the engine.
+  EXPECT_EQ(snap.counter_value("wivi_net_chunks_delivered_total"),
+            snap.counter_value("wivi_engine_chunks_in_total"));
 }
 
 TEST(Loopback, BackgroundThreadReceiverDeliversEverything) {
@@ -304,6 +309,7 @@ TEST(Loopback, BackgroundThreadReceiverDeliversEverything) {
   net::EngineBinding binding(engine, {make_spec(), make_ingest()});
   net::ReceiverConfig rc;
   rc.enable_udp = false;
+  rc.registry = &engine.registry();
   net::Receiver rx(rc, binding.sink(), binding.end_sink());
   rx.start();
 
@@ -320,9 +326,7 @@ TEST(Loopback, BackgroundThreadReceiverDeliversEverything) {
   // TCP is lossless: wait until the background thread has accepted
   // every frame, then stop it.
   const std::uint64_t expect_frames = sender.frames_sent();
-  for (int i = 0; i < 2000 && rx.wire_stats().frames_accepted < expect_frames;
-       ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  wait_for_accepted(engine, expect_frames);
   rx.stop();
   rx.flush();
   binding.close_all();
@@ -335,6 +339,56 @@ TEST(Loopback, BackgroundThreadReceiverDeliversEverything) {
   engine.poll(events);
   EXPECT_EQ(nettest::event_log(events, *id), in_process_event_log(kTraceSeed));
   EXPECT_GT(chunks, 0u);
+}
+
+TEST(Loopback, FullSessionTableRefusesASensorUnderTheBackgroundPoller) {
+  // Two session slots, three sensors each sending one chunk and its
+  // end-of-stream mark. The sensor that finds the table full is refused —
+  // its chunk counted as sink-dropped — instead of an exception escaping
+  // the poll thread (which would terminate the process).
+  rt::Engine engine({.num_threads = 1, .max_sessions = 2});
+  net::EngineBinding binding(engine, {make_spec(), make_ingest()});
+  net::ReceiverConfig rc;
+  rc.enable_tcp = false;
+  rc.registry = &engine.registry();
+  net::Receiver rx(rc, binding.sink(), binding.end_sink());
+  rx.start();
+
+  net::Sender::Config sc;
+  sc.port = rx.udp_port();
+  net::Sender sender(sc);
+  auto feed = nettest::make_feed(kChunkLen, kTraceSeed, kChunkLen);
+  CVec chunk;
+  ASSERT_TRUE(feed.next(chunk));
+  for (const std::uint32_t sensor : {1u, 2u, 3u}) {
+    sender.send_chunk(sensor, chunk);
+    sender.send_end(sensor);
+  }
+  const std::uint64_t expect_frames = sender.frames_sent();
+  wait_for_accepted(engine, expect_frames);
+  rx.stop();
+  rx.flush();
+  binding.close_all();
+  engine.drain();
+
+  EXPECT_EQ(rx.wire_stats().frames_accepted, expect_frames);
+  EXPECT_EQ(binding.num_sessions(), 2u);
+  EXPECT_EQ(engine.num_sessions(), 2u);
+  EXPECT_EQ(rx.demux().stats().sink_dropped_chunks, 1u);
+  const obs::Snapshot snap = engine.snapshot();
+  EXPECT_EQ(snap.counter_value("wivi_engine_sessions_opened_total"), 2u);
+  EXPECT_EQ(snap.counter_value("wivi_engine_chunks_in_total"), 2u);
+  EXPECT_GT(snap.counter_value("wivi_net_frames_sink_dropped_total"), 0u);
+
+  // The two admitted sensors ran to a clean finish.
+  std::vector<rt::Event> events;
+  engine.poll(events);
+  std::size_t finished = 0;
+  for (const rt::Event& e : events) {
+    EXPECT_NE(e.type, rt::Event::Type::kError) << e.error;
+    if (e.type == rt::Event::Type::kFinished) ++finished;
+  }
+  EXPECT_EQ(finished, 2u);
 }
 
 }  // namespace

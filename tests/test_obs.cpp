@@ -473,6 +473,66 @@ TEST(EngineObs, SampleConservationAcrossDropsAndRejections) {
   EXPECT_NE(os.str().find("wivi_engine_chunks_in_total"), std::string::npos);
 }
 
+TEST(EngineObs, EngineCountersAreTheSumOfSessionStats) {
+  // The per-session counters are the only record: the exported
+  // wivi_engine_* totals and stats() must both be their sums, on a run
+  // that exercises ring-full drops and InputGuard rejections everywhere.
+  rt::Engine engine({.num_threads = 2});
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  const rt::IngestConfig ingest{.ring_capacity = 2,
+                                .backpressure = rt::Backpressure::kDropNewest};
+  const CVec h = sim::synthetic_mover_trace(3000);
+  std::vector<rt::SessionId> ids;
+  for (std::size_t s = 0; s < 3; ++s) {
+    const rt::SessionId id = engine.open_session(spec, ingest);
+    ids.push_back(id);
+    // A malformed chunk onto the empty ring: guaranteed popped, rejected.
+    EXPECT_TRUE(engine.offer(id, CVec(16 * (s + 1), cdouble(std::nan(""), 0.0))));
+    for (std::size_t pos = 0; pos < h.size(); pos += 40) {
+      const std::size_t len = std::min<std::size_t>(40, h.size() - pos);
+      engine.offer(id, CVec(h.begin() + static_cast<std::ptrdiff_t>(pos),
+                            h.begin() + static_cast<std::ptrdiff_t>(pos + len)));
+    }
+    engine.close_session(id);
+  }
+  engine.drain();
+
+  rt::SessionStats sum;
+  for (const rt::SessionId id : ids) {
+    const rt::SessionStats ss = engine.stats(id);
+    sum.chunks_in += ss.chunks_in;
+    sum.samples_in += ss.samples_in;
+    sum.chunks_dropped += ss.chunks_dropped;
+    sum.samples_dropped += ss.samples_dropped;
+    sum.chunks_rejected += ss.chunks_rejected;
+    sum.samples_rejected += ss.samples_rejected;
+  }
+  EXPECT_GT(sum.chunks_dropped, 0u) << "the tiny rings never overflowed";
+  EXPECT_EQ(sum.chunks_rejected, ids.size());
+
+  const obs::Snapshot snap = engine.snapshot();
+  const rt::Engine::EngineStats st = engine.stats();
+  const auto expect_total = [&](const char* name, std::uint64_t from_sessions,
+                                std::uint64_t from_stats) {
+    EXPECT_EQ(snap.counter_value(name), from_sessions) << name;
+    EXPECT_EQ(from_stats, from_sessions) << name;
+  };
+  expect_total("wivi_engine_chunks_in_total", sum.chunks_in, st.chunks_in);
+  expect_total("wivi_engine_samples_in_total", sum.samples_in, st.samples_in);
+  expect_total("wivi_engine_chunks_dropped_total", sum.chunks_dropped,
+               st.chunks_dropped);
+  expect_total("wivi_engine_samples_dropped_total", sum.samples_dropped,
+               st.samples_dropped);
+  expect_total("wivi_engine_chunks_rejected_total", sum.chunks_rejected,
+               st.chunks_rejected);
+  expect_total("wivi_engine_samples_rejected_total", sum.samples_rejected,
+               st.samples_rejected);
+  EXPECT_EQ(snap.counter_value("wivi_engine_samples_processed_total"),
+            st.samples_processed);
+  EXPECT_EQ(snap.counter_value("wivi_engine_columns_total"), st.columns_out);
+}
+
 TEST(EngineObs, PeriodicStatsEventsCarryLiveCounters) {
   rt::Engine::Config ec;
   ec.num_threads = 1;

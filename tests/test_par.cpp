@@ -230,15 +230,16 @@ TEST(RunRecorded, MatchesBuilderOutputAndDeliversFullEventStream) {
   ec.num_threads = 3;
   rt::Engine engine(ec);
 
-  rt::SessionConfig sc;
-  sc.count_movers = true;
-  sc.t0 = 1.5;
-  const rt::SessionId id = engine.run_recorded(sc, h);
+  api::PipelineSpec spec;
+  spec.count = api::CountStage{};
+  spec.t0 = 1.5;
+  const rt::SessionId id = engine.run_recorded(spec, h);
 
   // The session is finished on return and the image is the builder's.
   EXPECT_TRUE(engine.stats(id).finished);
   const core::AngleTimeImage want =
-      par::ParallelImageBuilder(sc.tracker, ec.num_threads).build(h, sc.t0);
+      par::ParallelImageBuilder(spec.image.tracker, ec.num_threads)
+          .build(h, spec.t0);
   expect_images_bit_identical(want, engine.tracker(id).image());
   EXPECT_EQ(engine.tracker(id).samples_seen(), h.size());
   EXPECT_EQ(engine.stats(id).columns_out, want.num_times());
@@ -280,15 +281,15 @@ TEST(RunRecorded, TrackTargetsSessionMatchesBatchTrackImage) {
   rt::Engine::Config ec;
   ec.num_threads = 2;
   rt::Engine engine(ec);
-  rt::SessionConfig sc;
-  sc.emit_columns = false;
-  sc.track_targets = true;
-  const rt::SessionId id = engine.run_recorded(sc, h);
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  spec.track = api::TrackStage{};
+  const rt::SessionId id = engine.run_recorded(spec, h);
   EXPECT_TRUE(engine.stats(id).finished);
 
   const core::AngleTimeImage img =
-      par::ParallelImageBuilder(sc.tracker, ec.num_threads).build(h);
-  const auto want = track::track_image(img, sc.multi_track);
+      par::ParallelImageBuilder(spec.image.tracker, ec.num_threads).build(h);
+  const auto want = track::track_image(img, spec.track->tracker);
   const auto got = engine.multi_tracker(id).histories();
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {

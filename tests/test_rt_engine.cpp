@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/common/random.hpp"
 #include "src/sim/synthetic.hpp"
 #include "src/core/tracker.hpp"
@@ -22,6 +23,20 @@
 
 namespace wivi {
 namespace {
+
+/// The pipeline most engine tests run: the image stage plus a counter.
+api::PipelineSpec counting_spec(bool emit_columns = true) {
+  api::PipelineSpec spec;
+  spec.image.emit_columns = emit_columns;
+  spec.count = api::CountStage{};
+  return spec;
+}
+
+/// Lossless ingestion (offer() waits for ring space): exact results.
+rt::IngestConfig blocking(std::size_t ring_capacity = 256) {
+  return {.ring_capacity = ring_capacity,
+          .backpressure = rt::Backpressure::kBlock};
+}
 
 std::vector<CVec> make_session_traces(std::size_t sessions, std::size_t len) {
   std::vector<CVec> traces;
@@ -44,14 +59,10 @@ std::vector<core::AngleTimeImage> run_engine(
   rt::Engine engine(ec);
 
   std::vector<rt::SessionId> ids;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    rt::SessionConfig sc;
-    sc.emit_columns = false;
-    sc.count_movers = true;
-    sc.ring_capacity = ring_capacity;
-    sc.backpressure = policy;
-    ids.push_back(engine.open_session(sc));
-  }
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    ids.push_back(engine.open_session(
+        counting_spec(false),
+        {.ring_capacity = ring_capacity, .backpressure = policy}));
   // Round-robin feeding interleaves the sessions like concurrent sensors.
   std::vector<std::size_t> pos(traces.size(), 0);
   bool any = true;
@@ -101,10 +112,7 @@ TEST(Engine, MatchesBatchPipelineThroughOneSession) {
   rt::Engine::Config ec;
   ec.num_threads = 2;
   rt::Engine engine(ec);
-  rt::SessionConfig sc;
-  sc.backpressure = rt::Backpressure::kBlock;
-  sc.count_movers = true;
-  const rt::SessionId id = engine.open_session(sc);
+  const rt::SessionId id = engine.open_session(counting_spec(), blocking());
   for (std::size_t pos = 0; pos < h.size(); pos += 100) {
     CVec c(h.begin() + static_cast<std::ptrdiff_t>(pos),
            h.begin() +
@@ -170,18 +178,13 @@ TEST(Engine, ConcurrentProducersStress) {
 
   std::vector<rt::SessionId> ids;
   for (std::size_t s = 0; s < kSessions; ++s) {
-    rt::SessionConfig sc;
-    sc.emit_columns = (s % 2 == 0);
-    sc.count_movers = true;
-    sc.decode_gestures = (s % 3 == 0);
-    if (s < 2) {
-      sc.ring_capacity = 2;
-      sc.backpressure = rt::Backpressure::kDropNewest;
-    } else {
-      sc.ring_capacity = 4;
-      sc.backpressure = rt::Backpressure::kBlock;
-    }
-    ids.push_back(engine.open_session(sc));
+    api::PipelineSpec spec = counting_spec(s % 2 == 0);
+    if (s % 3 == 0) spec.gesture = api::GestureStage{};
+    const rt::IngestConfig ingest =
+        s < 2 ? rt::IngestConfig{.ring_capacity = 2,
+                                 .backpressure = rt::Backpressure::kDropNewest}
+              : blocking(4);
+    ids.push_back(engine.open_session(std::move(spec), ingest));
   }
 
   std::vector<std::thread> producers;
@@ -237,12 +240,8 @@ TEST(Engine, CallbackDeliveryAndPerSessionOrder) {
   });
 
   std::vector<rt::SessionId> ids;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    rt::SessionConfig sc;
-    sc.count_movers = true;
-    sc.backpressure = rt::Backpressure::kBlock;
-    ids.push_back(engine.open_session(sc));
-  }
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    ids.push_back(engine.open_session(counting_spec(), blocking()));
   for (std::size_t s = 0; s < traces.size(); ++s) {
     for (std::size_t pos = 0; pos < traces[s].size(); pos += 50) {
       CVec c(traces[s].begin() + static_cast<std::ptrdiff_t>(pos),
@@ -289,12 +288,8 @@ TEST(Engine, ThrowingCallbackFailsOnlyItsSession) {
   });
 
   std::vector<rt::SessionId> ids;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    rt::SessionConfig sc;
-    sc.count_movers = true;
-    sc.backpressure = rt::Backpressure::kBlock;
-    ids.push_back(engine.open_session(sc));
-  }
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    ids.push_back(engine.open_session(counting_spec(), blocking()));
   poison = ids[0];
   for (std::size_t s = 0; s < traces.size(); ++s) {
     for (std::size_t pos = 0; pos < traces[s].size(); pos += 64) {
@@ -349,13 +344,8 @@ TEST(Engine, DeadSessionNeverEmitsASecondErrorOrAnyLaterEvent) {
     });
 
     std::vector<rt::SessionId> ids;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      rt::SessionConfig sc;
-      sc.count_movers = true;
-      sc.ring_capacity = 2;
-      sc.backpressure = rt::Backpressure::kBlock;
-      ids.push_back(engine.open_session(sc));
-    }
+    for (std::size_t s = 0; s < kSessions; ++s)
+      ids.push_back(engine.open_session(counting_spec(), blocking(2)));
     std::vector<std::thread> producers;
     for (std::size_t s = 0; s < kSessions; ++s) {
       producers.emplace_back([&, s] {
@@ -390,11 +380,28 @@ TEST(Engine, DeadSessionNeverEmitsASecondErrorOrAnyLaterEvent) {
 TEST(Engine, RejectsMisuse) {
   rt::Engine engine;  // default config
   EXPECT_THROW((void)engine.stats(0), std::exception);
-  const rt::SessionId id = engine.open_session(rt::SessionConfig{});
+  const rt::SessionId id = engine.open_session(api::PipelineSpec{});
   engine.close_session(id);
   EXPECT_THROW((void)engine.offer(id, CVec(10)), std::exception);
   engine.drain();
   EXPECT_TRUE(engine.stats(id).finished);
+}
+
+TEST(Engine, FullSessionTableRefusesWithATypedOverload) {
+  rt::Engine engine({.num_threads = 1, .max_sessions = 2});
+  (void)engine.open_session(api::PipelineSpec{});
+  (void)engine.open_session(api::PipelineSpec{});
+  try {
+    (void)engine.open_session(api::PipelineSpec{});
+    FAIL() << "a third session fit a two-slot table";
+  } catch (const TypedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kOverload);
+  }
+  // A refused open is not an opened session.
+  EXPECT_EQ(engine.num_sessions(), 2u);
+  EXPECT_EQ(engine.stats().sessions, 2u);
+  EXPECT_EQ(engine.snapshot().counter_value("wivi_engine_sessions_opened_total"),
+            2u);
 }
 
 }  // namespace

@@ -96,11 +96,12 @@ TEST(EngineTracking, EngineSessionMatchesBatchBitForBit) {
   const auto batch = track::track_image(imager.process(h));
 
   rt::Engine engine({.num_threads = 2});
-  rt::SessionConfig cfg;
-  cfg.emit_columns = false;
-  cfg.track_targets = true;
-  cfg.backpressure = rt::Backpressure::kBlock;  // lossless: exact results
-  const rt::SessionId id = engine.open_session(cfg);
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  spec.track = api::TrackStage{};
+  rt::IngestConfig ingest;
+  ingest.backpressure = rt::Backpressure::kBlock;  // lossless: exact results
+  const rt::SessionId id = engine.open_session(std::move(spec), ingest);
   for (std::size_t pos = 0; pos < h.size(); pos += 200) {
     const std::size_t len = std::min<std::size_t>(200, h.size() - pos);
     CVec chunk(h.begin() + static_cast<std::ptrdiff_t>(pos),

@@ -23,6 +23,11 @@ namespace {
 // read between sequenced statements.
 long g_alloc_count = 0;
 
+// Out of line, so the compiler never pairs a call to the replaced
+// operator new with the free() of an inlined operator delete: GCC's
+// -Wmismatched-new-delete misreads that pair in sanitizer builds.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -51,17 +56,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace wivi {
