@@ -35,6 +35,15 @@ core::GestureDecoder::Result Session::take_gesture_result() {
   return gesture_->take_result();
 }
 
+std::vector<track::TrackHistory> Session::take_tracks() {
+  WIVI_REQUIRE(multi_.has_value(), "the spec has no TrackStage");
+  WIVI_REQUIRE(state_ != State::kOpen,
+               "take_tracks() requires a finished session");
+  std::vector<track::TrackHistory> out = multi_->tracker().histories();
+  multi_.emplace(spec_.track->tracker);
+  return out;
+}
+
 const track::MultiTargetTracker& Session::multi_tracker() const {
   WIVI_REQUIRE(multi_.has_value(), "the spec has no TrackStage");
   return multi_->tracker();
@@ -216,6 +225,7 @@ void Session::finish() {
     if (counter_) e.spatial_variance = counter_->variance();
     if (multi_) e.num_confirmed = multi_->tracker().num_confirmed();
     emit(std::move(e));
+    tracker_.release_stream();
     state_ = State::kFinished;
   });
 }

@@ -106,7 +106,9 @@ class Session {
   std::size_t push(CSpan chunk);
 
   /// End of stream: final gesture flush, final stage updates, then
-  /// FinishedEvent. The session only accepts accessor reads afterwards.
+  /// FinishedEvent. The session only accepts accessor reads afterwards,
+  /// so the image stage's stream buffers are freed here
+  /// (rt::StreamingTracker::release_stream()).
   void finish();
 
   /// Batch execution: push(trace) then finish() in one call — bit-identical
@@ -182,6 +184,10 @@ class Session {
   /// take_image() for when to prefer moving; gesture_result() reads empty
   /// afterwards). Requires a GestureStage and finish().
   [[nodiscard]] core::GestureDecoder::Result take_gesture_result();
+  /// Move the track histories out of a finished session (see take_image()
+  /// for when to prefer moving); multi_tracker() reads as freshly built
+  /// afterwards. Requires a TrackStage and finish().
+  [[nodiscard]] std::vector<track::TrackHistory> take_tracks();
   /// Running Eq. 5.5 spatial variance (requires a CountStage in the spec).
   [[nodiscard]] double spatial_variance() const;
 

@@ -188,51 +188,70 @@ void SmoothedMusic::pseudospectrum_from_correlation_into(
     const linalg::CMatrix& r, RSpan angles_deg, RVec& out,
     int* model_order_out) const {
   MusicScratch& ws = music_scratch();
-  linalg::hermitian_eig_into(r, ws.eig, ws.eig_ws);
-  const int order = estimate_model_order(ws.eig.values);
+  const RSpan values = linalg::hermitian_eigenvalues(r, ws.eig_ws);
+  const int order = estimate_model_order(values);
   if (model_order_out != nullptr) *model_order_out = order;
 
+  // Only the k signal eigenvectors are formed, as contiguous rows. Both
+  // buffers reserve the max_sources worst case up front, so a model order
+  // that grows between calls never reallocates.
   const std::size_t wp = r.rows();
-  const std::size_t num_noise = wp - static_cast<std::size_t>(order);
-
-  // Noise eigenvectors (columns order .. wp-1 of the eigenvector matrix)
-  // copied once into contiguous rows, so the projection inner loop below
-  // streams both operands linearly. Reserve the worst case (order = 1) up
-  // front so later calls never reallocate even if the model order drops.
-  CVec& noise = ws.noise;
-  if (noise.capacity() < (wp - 1) * wp) noise.reserve((wp - 1) * wp);
-  noise.resize(num_noise * wp);
-  for (std::size_t jj = 0; jj < num_noise; ++jj) {
-    cdouble* const u = noise.data() + jj * wp;
-    const std::size_t j = static_cast<std::size_t>(order) + jj;
-    for (std::size_t i = 0; i < wp; ++i) u[i] = ws.eig.vectors(i, j);
-  }
+  const auto k = static_cast<std::size_t>(order);
+  const auto max_k = static_cast<std::size_t>(cfg_.max_sources);
+  if (ws.signal.capacity() < max_k * wp) ws.signal.reserve(max_k * wp);
+  if (ws.coef.capacity() < max_k) ws.coef.reserve(max_k);
+  ws.signal.resize(k * wp);
+  ws.coef.resize(k);
+  linalg::leading_eigenvectors(ws.eig_ws, k, ws.signal);
 
   // Unit-norm steering so the pseudospectrum scale is grid-independent.
   steering_.ensure(cfg_.isar, angles_deg, wp, /*unit_norm=*/true);
 
+  // Complex arithmetic spelled out on (re, im) pairs: the same IEEE
+  // operations as std::complex without its per-multiply NaN branch.
+  const auto* const sig = reinterpret_cast<const double*>(ws.signal.data());
+  auto* const c = reinterpret_cast<double*>(ws.coef.data());
   out.resize(angles_deg.size());
   for (std::size_t ai = 0; ai < angles_deg.size(); ++ai) {
-    const cdouble* const a = steering_.row(ai);
-    // Row-wise ||a^H E_noise||^2 over contiguous storage. Four partial
-    // accumulators break the serial add chain of a naive dot product (the
-    // operands already sit in L1; the chain latency was the bottleneck).
-    double proj = 0.0;
-    for (std::size_t jj = 0; jj < num_noise; ++jj) {
-      const cdouble* const u = noise.data() + jj * wp;
-      cdouble d0{0.0, 0.0};
-      cdouble d1{0.0, 0.0};
-      cdouble d2{0.0, 0.0};
-      cdouble d3{0.0, 0.0};
+    const auto* const a = reinterpret_cast<const double*>(steering_.row(ai));
+    // c = E_s^H a. Four partial sums per product break the serial add
+    // chain (the operands sit in L1; the chain latency is the bottleneck).
+    double c2 = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const double* const e = sig + 2 * j * wp;
+      double re[4] = {0.0, 0.0, 0.0, 0.0};
+      double im[4] = {0.0, 0.0, 0.0, 0.0};
       std::size_t i = 0;
-      for (; i + 4 <= wp; i += 4) {
-        d0 += std::conj(a[i]) * u[i];
-        d1 += std::conj(a[i + 1]) * u[i + 1];
-        d2 += std::conj(a[i + 2]) * u[i + 2];
-        d3 += std::conj(a[i + 3]) * u[i + 3];
+      for (; i + 4 <= wp; i += 4)
+        for (std::size_t l = 0; l < 4; ++l) {
+          const std::size_t x = 2 * (i + l);
+          re[l] += e[x] * a[x] + e[x + 1] * a[x + 1];
+          im[l] += e[x] * a[x + 1] - e[x + 1] * a[x];
+        }
+      for (; i < wp; ++i) {
+        re[0] += e[2 * i] * a[2 * i] + e[2 * i + 1] * a[2 * i + 1];
+        im[0] += e[2 * i] * a[2 * i + 1] - e[2 * i + 1] * a[2 * i];
       }
-      for (; i < wp; ++i) d0 += std::conj(a[i]) * u[i];
-      proj += norm2((d0 + d1) + (d2 + d3));
+      const double cr = (re[0] + re[1]) + (re[2] + re[3]);
+      const double ci = (im[0] + im[1]) + (im[2] + im[3]);
+      c[2 * j] = cr;
+      c[2 * j + 1] = ci;
+      c2 += cr * cr + ci * ci;
+    }
+    double proj = 1.0 - c2;
+    if (proj < kScanRecomputeBelow) {
+      // Near a peak: the residual a - E_s c directly, no cancellation.
+      proj = 0.0;
+      for (std::size_t i = 0; i < wp; ++i) {
+        double rr = a[2 * i];
+        double ri = a[2 * i + 1];
+        for (std::size_t j = 0; j < k; ++j) {
+          const double* const e = sig + 2 * (j * wp + i);
+          rr -= c[2 * j] * e[0] - c[2 * j + 1] * e[1];
+          ri -= c[2 * j] * e[1] + c[2 * j + 1] * e[0];
+        }
+        proj += rr * rr + ri * ri;
+      }
     }
     out[ai] = 1.0 / std::max(proj, 1e-12);
   }

@@ -7,15 +7,20 @@
 /// matrices over overlapping sub-arrays of size w' < w before the eigen
 /// decomposition. The pseudospectrum
 ///   A'[theta] = 1 / sum_j |a(theta)^H u_j|^2        (noise eigenvectors u_j)
+///             = 1 / (1 - ||E_s^H a(theta)||^2)       (signal eigenvectors E_s)
 /// spikes at the moving humans' spatial angles and at the DC (theta = 0)
-/// residual from imperfect nulling.
+/// residual from imperfect nulling. The two forms agree because the
+/// eigenvectors are orthonormal and the steering vectors unit-norm; the
+/// implementation uses the second, which needs the k ~ 2-4 signal
+/// eigenvectors instead of the w' - k ~ 28 noise ones.
 ///
 /// The evaluation path runs one pseudospectrum per sliding-window position
 /// over whole traces (§7.1: ~1 s of post-processing per 25 s trace), so the
 /// implementation is built around reuse: a unit-norm steering-matrix cache
-/// shared across calls, contiguous noise-subspace storage for the
-/// projection, workspace-backed eigendecomposition, and an incremental
-/// (rank-one add/subtract) sliding-window correlation for streaming use.
+/// shared across calls, an eigensolver that back-transforms only the
+/// signal eigenvectors into contiguous rows, per-thread workspaces, and an
+/// incremental (rank-one add/subtract) sliding-window correlation for
+/// streaming use.
 #pragma once
 
 #include "src/core/isar.hpp"
@@ -36,7 +41,7 @@ struct MusicConfig {
   /// sources (humans + DC). A closed conference room holds at most a few.
   int max_sources = 16;
   /// An eigenvalue is "signal" if it exceeds the noise-floor estimate by
-  /// this many dB (the floor is the mean of the smallest half of the
+  /// this many dB (the floor is the median of the smallest half of the
   /// eigenvalues).
   double signal_threshold_db = 12.0;
 };
@@ -101,17 +106,17 @@ class SlidingCorrelation {
   linalg::CMatrix sum_;  // upper triangle of the un-normalised sub-array sum
 };
 
-/// Per-thread mutable MUSIC workspace: eigendecomposition buffers, the
-/// contiguous noise-subspace copy, and correlation/model-order scratch.
+/// Per-thread mutable MUSIC workspace: eigensolver buffers, the
+/// contiguous signal-subspace rows, and correlation/model-order scratch.
 /// Every member is fully overwritten by each estimation call, so one
 /// workspace per thread serves any number of SmoothedMusic instances —
 /// this is what lets a thousand idle sessions share a handful of
 /// workspaces instead of each holding ~20 KB of warm buffers.
 struct MusicScratch {
   linalg::CMatrix r;            ///< Correlation scratch (w' x w').
-  linalg::EigResult eig;        ///< Eigendecomposition output.
-  linalg::EigWorkspace eig_ws;  ///< Eigendecomposition scratch.
-  CVec noise;                   ///< Noise eigenvectors, contiguous rows.
+  linalg::EigWorkspace eig_ws;  ///< Eigensolver scratch.
+  CVec signal;                  ///< Signal eigenvectors, contiguous rows.
+  CVec coef;                    ///< Per-angle E_s^H a(theta).
   RVec order_tail;              ///< Model-order noise-floor scratch.
 };
 
@@ -126,6 +131,15 @@ struct MusicScratch {
 /// steering table.
 class SmoothedMusic {
  public:
+  /// The scan evaluates the noise projection as proj = 1 - ||c||^2 with
+  /// c = E_s^H a(theta). Its absolute rounding error is O(w' u) ~ 1e-14
+  /// (u = 2^-53, from ||c||^2, the orthonormality of E_s and the
+  /// normalisation of a), so at proj >= kScanRecomputeBelow its relative
+  /// error is at most ~1e-10. Below it — within a few degrees of a peak,
+  /// ~9% of the grid on typical columns — proj is recomputed from the
+  /// same c as ||a - E_s c||^2, whose absolute error is O(k u sqrt(proj)).
+  static constexpr double kScanRecomputeBelow = 1e-4;
+
   /// Build an estimator (workspaces allocate lazily on first use).
   explicit SmoothedMusic(MusicConfig cfg = {});
 
@@ -150,9 +164,10 @@ class SmoothedMusic {
   [[nodiscard]] RVec pseudospectrum(CSpan window, RSpan angles_deg,
                                     int* model_order_out = nullptr) const;
 
-  /// Same, into a caller-owned spectrum buffer; reuses the instance's
-  /// eigen/steering/noise workspaces (zero heap allocation per call once
-  /// they are warm). Not safe for concurrent calls on one instance.
+  /// Same, into a caller-owned spectrum buffer; reuses the per-thread
+  /// eigensolver/signal workspaces and the steering table (zero heap
+  /// allocation per call once they are warm). Not safe for concurrent
+  /// calls on one instance.
   void pseudospectrum_into(CSpan window, RSpan angles_deg, RVec& out,
                            int* model_order_out = nullptr) const;
 

@@ -2,109 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "src/common/error.hpp"
 
 namespace wivi::linalg {
 namespace {
 
-/// One (p, q) complex Jacobi rotation: zero a(p, q) with the unitary
-///   G_pp = c, G_pq = -s, G_qp = s*e^{-j phi}, G_qq = c*e^{-j phi},
-/// where a_pq = |a_pq| e^{j phi}; A <- G^H A G, V <- V G.
-///
-/// Only the upper triangle of `a` is kept valid: the mirror writes of the
-/// textbook formulation are pure memory traffic (the lower triangle is
-/// always the conjugate), and dropping them halves the work per rotation.
-/// Eigenvectors are accumulated transposed (`vt` row j = eigenvector j) so
-/// both updated vectors are contiguous rows instead of strided columns.
-void rotate(CMatrix& a, CMatrix& vt, std::size_t p, std::size_t q,
-            cdouble apq, double g) {
-  const cdouble phase = apq / g;  // e^{j phi}
-  const double alpha = a(p, p).real();
-  const double beta = a(q, q).real();
-  // Smaller-magnitude root of  g t^2 + (alpha - beta) t - g = 0.
-  const double diff = alpha - beta;
-  const double t =
-      (diff >= 0.0 ? 1.0 : -1.0) * 2.0 * g /
-      (std::abs(diff) + std::sqrt(diff * diff + 4.0 * g * g));
-  const double c = 1.0 / std::sqrt(1.0 + t * t);
-  const double s = t * c;
-  const cdouble conj_phase = std::conj(phase);
+/// QL iterations allowed, per eigenvalue on average, before giving up
+/// (LAPACK's dsteqr budget; 1-2 is typical).
+constexpr int kMaxQlIterationsPerEigenvalue = 30;
 
-  const std::size_t n = a.rows();
-  cdouble* const row_p = a.row(p);
-  cdouble* const row_q = a.row(q);
-
-  // k < p: both elements live in column p / column q of row k.
-  {
-    cdouble* col_p = a.data() + p;
-    cdouble* col_q = a.data() + q;
-    for (std::size_t k = 0; k < p; ++k, col_p += n, col_q += n) {
-      const cdouble akp = *col_p;
-      const cdouble akq = *col_q;
-      *col_p = c * akp + s * conj_phase * akq;
-      *col_q = -s * akp + c * conj_phase * akq;
-    }
-  }
-  // p < k < q: a(k,p) = conj(a(p,k)); row p is contiguous.
-  {
-    cdouble* col_q = a.data() + (p + 1) * n + q;
-    for (std::size_t k = p + 1; k < q; ++k, col_q += n) {
-      const cdouble apk = row_p[k];
-      const cdouble akq = *col_q;
-      row_p[k] = c * apk + s * phase * std::conj(akq);
-      *col_q = -s * std::conj(apk) + c * conj_phase * akq;
-    }
-  }
-  // k > q: both mirrors live in rows p and q; fully contiguous.
-  for (std::size_t k = q + 1; k < n; ++k) {
-    const cdouble apk = row_p[k];
-    const cdouble aqk = row_q[k];
-    row_p[k] = c * apk + s * phase * aqk;
-    row_q[k] = -s * apk + c * phase * aqk;
-  }
-  const double new_pp = c * c * alpha + 2.0 * c * s * g + s * s * beta;
-  row_p[p] = new_pp;
-  row_q[q] = alpha + beta - new_pp;
-  row_p[q] = 0.0;
-
-  // Accumulate eigenvectors: V <- V G, stored transposed (contiguous rows).
-  cdouble* const vp = vt.row(p);
-  cdouble* const vq = vt.row(q);
-  for (std::size_t k = 0; k < n; ++k) {
-    const cdouble vkp = vp[k];
-    const cdouble vkq = vq[k];
-    vp[k] = c * vkp + s * conj_phase * vkq;
-    vq[k] = -s * vkp + c * conj_phase * vkq;
-  }
+// The inner loops spell complex arithmetic out on the interleaved
+// (re, im) doubles ([complex.numbers] guarantees that layout): the same
+// IEEE operations as std::complex, without the NaN-recovery branch GCC
+// attaches to every complex multiply, which keeps them vectorisable.
+double* ri(cdouble* p) noexcept { return reinterpret_cast<double*>(p); }
+const double* ri(const cdouble* p) noexcept {
+  return reinterpret_cast<const double*>(p);
 }
 
-/// 2 * sum_{i<j} |a(i,j)|^2 over the (valid) upper triangle.
-double upper_offdiag_norm2(const CMatrix& a) {
-  const std::size_t n = a.rows();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const cdouble* const row_i = a.row(i);
-    for (std::size_t j = i + 1; j < n; ++j) acc += norm2(row_i[j]);
-  }
-  return 2.0 * acc;
-}
-
-}  // namespace
-
-EigResult hermitian_eig(const CMatrix& a_in, const EigOptions& opts) {
-  EigResult result;
-  EigWorkspace ws;
-  hermitian_eig_into(a_in, result, ws, opts);
-  return result;
-}
-
-void hermitian_eig_into(const CMatrix& a_in, EigResult& out, EigWorkspace& ws,
-                        const EigOptions& opts) {
+/// Check squareness and Hermitian symmetry, and copy the upper triangle
+/// of `a_in` (diagonal forced real, tiny defects averaged away) into the
+/// working matrix `w`.
+void load_upper(const CMatrix& a_in, CMatrix& w) {
   WIVI_REQUIRE(a_in.rows() == a_in.cols(), "hermitian_eig needs a square matrix");
+  WIVI_REQUIRE(a_in.rows() > 0, "hermitian_eig needs a non-empty matrix");
   const std::size_t n = a_in.rows();
-
   // Frobenius norm and Hermitian defect in one pass (squared comparisons,
   // no per-element sqrt).
   double fro2 = 0.0;
@@ -120,72 +46,270 @@ void hermitian_eig_into(const CMatrix& a_in, EigResult& out, EigWorkspace& ws,
       defect2 = std::max(defect2, norm2(aij - std::conj(aji)));
     }
   }
-  const double fro = std::sqrt(fro2);
   WIVI_REQUIRE(defect2 <= 1e-18 * std::max(fro2, 1.0),
                "hermitian_eig input is not Hermitian");
 
-  // Working copy, upper triangle only, forced exactly Hermitian (averages
-  // tiny defects); vt starts as the identity.
-  CMatrix& a = ws.a;
-  CMatrix& vt = ws.vt;
-  a.reshape(n, n);
-  vt.reshape(n, n);
+  w.reshape(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    vt(i, i) = 1.0;
-    a(i, i) = a_in(i, i).real();
     const cdouble* const src_i = a_in.row(i);
-    cdouble* const dst_i = a.row(i);
+    cdouble* const dst_i = w.row(i);
+    dst_i[i] = src_i[i].real();
     for (std::size_t j = i + 1; j < n; ++j)
       dst_i[j] = 0.5 * (src_i[j] + std::conj(a_in(j, i)));
   }
+}
 
-  const double target = opts.tolerance * std::max(fro, 1e-300);
-  const double target2 = target * target;
-  // A rotation below this threshold cannot matter: if every off-diagonal
-  // entry is under it, the total off-diagonal norm is already <= target.
-  const double skip2 = n > 1 ? target2 / static_cast<double>(n * (n - 1)) : 0.0;
+/// Householder reduction of the Hermitian matrix held in the upper
+/// triangle of ws.a to a real symmetric tridiagonal T (ws.diag, ws.off):
+/// A = Q D T D^H Q^H. Step p annihilates column p below its subdiagonal
+/// with the Hermitian unitary H_p = I - u u^H / h (u_0 = x_0 + e^{j arg
+/// x_0} ||x||, so H_p x = -e^{j arg x_0} ||x|| e_0 without cancellation);
+/// u is kept in row p of ws.a, h in ws.h[p]. The complex subdiagonal c_p
+/// this leaves is made real by the phase recursion phi_{p+1} = phi_p c_p
+/// / |c_p| (ws.phase), giving off-diagonal |c_p|.
+void tridiagonalize(EigWorkspace& ws) {
+  CMatrix& w = ws.a;
+  const std::size_t n = w.rows();
+  ws.h.assign(n, 0.0);
+  ws.off.assign(n, 0.0);
+  ws.diag.resize(n);
+  ws.phase.resize(n);
+  ws.work.resize(n);
+  ws.phase[0] = 1.0;
 
-  // Each rotation lowers the off-diagonal norm by exactly 2|a_pq|^2, so an
-  // incrementally tracked estimate enables mid-sweep exit; the estimate is
-  // re-anchored exactly at every sweep boundary to cancel rounding drift.
-  double off2 = upper_offdiag_norm2(a);
-  bool converged = n == 1 || off2 <= target2;
-  for (int sweep = 0; sweep < opts.max_sweeps && !converged; ++sweep) {
-    bool early_exit = false;
-    for (std::size_t p = 0; p + 1 < n && !early_exit; ++p) {
-      const cdouble* const row_p = a.row(p);
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const cdouble apq = row_p[q];
-        const double g2 = norm2(apq);
-        if (g2 <= skip2) continue;
-        rotate(a, vt, p, q, apq, std::sqrt(g2));
-        off2 -= 2.0 * g2;
-        if (off2 <= 0.25 * target2) {
-          early_exit = true;
-          break;
+  for (std::size_t p = 0; p + 1 < n; ++p) {
+    const std::size_t m = n - p - 1;  // length of the column below (p, p)
+    // Row p right of the diagonal is conj(x), x = column p below it.
+    double* const y = ri(w.row(p) + p + 1);
+    double sigma = 0.0;
+    for (std::size_t j = 1; j < m; ++j)
+      sigma += y[2 * j] * y[2 * j] + y[2 * j + 1] * y[2 * j + 1];
+
+    cdouble sub{y[0], -y[1]};  // c_p = x_0 when no reflector is needed
+    if (sigma > 0.0) {
+      const double alpha_re = y[0];
+      const double alpha_im = -y[1];
+      const double abs_alpha = std::sqrt(alpha_re * alpha_re + alpha_im * alpha_im);
+      const double r = std::sqrt(abs_alpha * abs_alpha + sigma);
+      double ph_re = 1.0;
+      double ph_im = 0.0;
+      if (abs_alpha > 0.0) {
+        ph_re = alpha_re / abs_alpha;
+        ph_im = alpha_im / abs_alpha;
+      }
+      const double h = r * r + r * abs_alpha;
+      ws.h[p] = h;
+      sub = cdouble{-ph_re * r, -ph_im * r};
+      // u overwrites conj(x) in row p.
+      double* const u = y;
+      u[0] = alpha_re + ph_re * r;
+      u[1] = alpha_im + ph_im * r;
+      for (std::size_t j = 1; j < m; ++j) u[2 * j + 1] = -u[2 * j + 1];
+
+      // g = B u / h over the trailing block B = A(p+1.., p+1..), whose
+      // upper triangle is valid: row i contributes B_ii u_i + sum_{j>i}
+      // B_ij u_j to g_i and conj(B_ij) u_i to every g_j, j > i.
+      double* const g = ri(ws.work.data());
+      std::fill(g, g + 2 * m, 0.0);
+      for (std::size_t i = 0; i < m; ++i) {
+        const double* const b = ri(w.row(p + 1 + i) + p + 1);
+        const double ur = u[2 * i];
+        const double ui = u[2 * i + 1];
+        double acc_re = b[2 * i] * ur;
+        double acc_im = b[2 * i] * ui;
+        for (std::size_t j = i + 1; j < m; ++j) {
+          const double br = b[2 * j];
+          const double bi = b[2 * j + 1];
+          acc_re += br * u[2 * j] - bi * u[2 * j + 1];
+          acc_im += br * u[2 * j + 1] + bi * u[2 * j];
+          g[2 * j] += br * ur + bi * ui;
+          g[2 * j + 1] += br * ui - bi * ur;
+        }
+        g[2 * i] += acc_re;
+        g[2 * i + 1] += acc_im;
+      }
+      // q = g - K u with K = u^H g / (2h) (real: B is Hermitian).
+      const double inv_h = 1.0 / h;
+      double ug = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        g[2 * i] *= inv_h;
+        g[2 * i + 1] *= inv_h;
+        ug += u[2 * i] * g[2 * i] + u[2 * i + 1] * g[2 * i + 1];
+      }
+      const double k = 0.5 * ug * inv_h;
+      double* const q = g;
+      for (std::size_t i = 0; i < 2 * m; ++i) q[i] -= k * u[i];
+
+      // B <- H B H = B - q u^H - u q^H (upper triangle; real diagonal).
+      for (std::size_t i = 0; i < m; ++i) {
+        double* const b = ri(w.row(p + 1 + i) + p + 1);
+        const double qr = q[2 * i];
+        const double qi = q[2 * i + 1];
+        const double ur = u[2 * i];
+        const double ui = u[2 * i + 1];
+        b[2 * i] -= 2.0 * (qr * ur + qi * ui);
+        for (std::size_t j = i + 1; j < m; ++j) {
+          b[2 * j] -= qr * u[2 * j] + qi * u[2 * j + 1] +
+                      ur * q[2 * j] + ui * q[2 * j + 1];
+          b[2 * j + 1] -= qi * u[2 * j] - qr * u[2 * j + 1] +
+                          ui * q[2 * j] - ur * q[2 * j + 1];
         }
       }
     }
-    off2 = upper_offdiag_norm2(a);
-    converged = off2 <= target2;
-  }
-  if (!converged) throw ComputeError("hermitian_eig: Jacobi sweeps exhausted");
 
-  // Sort eigenpairs by descending eigenvalue.
+    const double abs_sub = std::sqrt(norm2(sub));
+    ws.off[p] = abs_sub;
+    ws.phase[p + 1] =
+        abs_sub > 0.0 ? ws.phase[p] * (sub / abs_sub) : ws.phase[p];
+  }
+  for (std::size_t i = 0; i < n; ++i) ws.diag[i] = w(i, i).real();
+}
+
+/// Implicit-shift QL on the symmetric tridiagonal (ws.diag, ws.off),
+/// accumulating its eigenvectors transposed into ws.zt (row j = vector
+/// j). On return ws.diag holds the unsorted eigenvalues.
+///
+/// A coupling is negligible once it is below eps * ||T|| (EISPACK tql2's
+/// test, with the norm taken over the whole matrix). The reduction has
+/// already perturbed every entry by that much, so a tighter test buys no
+/// accuracy. A test relative to the neighbouring diagonal instead (tqli's)
+/// spends extra sweeps resolving a degenerate noise floor far below
+/// ||T|| — exactly the shape of a MUSIC correlation matrix — and ran past
+/// tqli's 30-iteration cap on a rank-3-plus-noise example.
+void tridiagonal_ql(EigWorkspace& ws) {
+  const std::size_t n = ws.diag.size();
+  double* const d = ws.diag.data();
+  double* const e = ws.off.data();  // e[i] couples i and i+1; e[n-1] = 0
+  ws.zt.assign(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) ws.zt[i * n + i] = 1.0;
+  double norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i)
+    norm = std::max(norm, std::abs(d[i]) + std::abs(e[i]));
+  const double negligible = std::numeric_limits<double>::epsilon() * norm;
+
+  std::size_t budget = kMaxQlIterationsPerEigenvalue * n;
+  for (std::size_t l = 0; l < n; ++l) {
+    for (;;) {
+      // Smallest m >= l whose coupling to m+1 is negligible.
+      std::size_t m = l;
+      while (m + 1 < n && std::abs(e[m]) > negligible) ++m;
+      if (m == l) break;
+      if (budget-- == 0)
+        throw ComputeError("hermitian_eig: QL iterations exhausted");
+
+      // Wilkinson-style shift from the leading 2x2, then chase the bulge
+      // from m up to l with Givens rotations.
+      double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+      double r = std::sqrt(g * g + 1.0);
+      g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
+      double s = 1.0;
+      double c = 1.0;
+      double p = 0.0;
+      bool deflated = false;
+      for (std::size_t i = m; i-- > l;) {
+        const double f = s * e[i];
+        const double b = c * e[i];
+        r = std::sqrt(f * f + g * g);
+        e[i + 1] = r;
+        if (r == 0.0) {  // underflow: split the matrix and restart
+          d[i + 1] -= p;
+          e[m] = 0.0;
+          deflated = true;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        double* const zi = ws.zt.data() + i * n;
+        double* const zi1 = zi + n;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double t = zi1[k];
+          zi1[k] = s * zi[k] + c * t;
+          zi[k] = c * zi[k] - s * t;
+        }
+      }
+      if (deflated) continue;
+      d[l] -= p;
+      e[l] = g;
+      e[m] = 0.0;
+    }
+  }
+}
+
+}  // namespace
+
+RSpan hermitian_eigenvalues(const CMatrix& a_in, EigWorkspace& ws) {
+  load_upper(a_in, ws.a);
+  const std::size_t n = ws.a.rows();
+  tridiagonalize(ws);
+  tridiagonal_ql(ws);
+
+  // Descending order; ties broken by index so the permutation is a pure
+  // function of the eigenvalues.
   ws.order.resize(n);
-  std::iota(ws.order.begin(), ws.order.end(), 0);
-  ws.diag.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ws.diag[i] = a(i, i).real();
-  std::sort(ws.order.begin(), ws.order.end(),
-            [&](std::size_t x, std::size_t y) { return ws.diag[x] > ws.diag[y]; });
+  std::iota(ws.order.begin(), ws.order.end(), std::size_t{0});
+  const RVec& d = ws.diag;
+  std::sort(ws.order.begin(), ws.order.end(), [&](std::size_t x, std::size_t y) {
+    return d[x] > d[y] || (d[x] == d[y] && x < y);
+  });
+  ws.values.resize(n);
+  for (std::size_t j = 0; j < n; ++j) ws.values[j] = d[ws.order[j]];
+  return ws.values;
+}
 
-  out.values.resize(n);
-  out.vectors.reshape(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = ws.diag[ws.order[j]];
-    const cdouble* const src = vt.row(ws.order[j]);
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = src[i];
+void leading_eigenvectors(const EigWorkspace& ws, std::size_t k,
+                          std::span<cdouble> out) {
+  const std::size_t n = ws.values.size();
+  WIVI_REQUIRE(k <= n, "more eigenvectors requested than the matrix has");
+  WIVI_REQUIRE(out.size() >= k * n, "eigenvector buffer too small");
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* const z = ws.zt.data() + ws.order[j] * n;
+    cdouble* const v = out.data() + j * n;
+    for (std::size_t i = 0; i < n; ++i) v[i] = ws.phase[i] * z[i];
+    // v = H_0 H_1 ... H_{n-2} D z: the last reflector applies first.
+    for (std::size_t p = n - 1; p-- > 0;) {
+      if (ws.h[p] == 0.0) continue;
+      const std::size_t m = n - p - 1;
+      const double* const u = ri(ws.a.row(p) + p + 1);
+      double* const x = ri(v + p + 1);
+      double s_re = 0.0;
+      double s_im = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {  // s = u^H x
+        s_re += u[2 * i] * x[2 * i] + u[2 * i + 1] * x[2 * i + 1];
+        s_im += u[2 * i] * x[2 * i + 1] - u[2 * i + 1] * x[2 * i];
+      }
+      const double f_re = s_re / ws.h[p];
+      const double f_im = s_im / ws.h[p];
+      for (std::size_t i = 0; i < m; ++i) {  // x -= (s / h) u
+        x[2 * i] -= f_re * u[2 * i] - f_im * u[2 * i + 1];
+        x[2 * i + 1] -= f_re * u[2 * i + 1] + f_im * u[2 * i];
+      }
+    }
   }
+}
+
+EigResult hermitian_eig(const CMatrix& a) {
+  EigResult result;
+  EigWorkspace ws;
+  hermitian_eig_into(a, result, ws);
+  return result;
+}
+
+void hermitian_eig_into(const CMatrix& a, EigResult& out, EigWorkspace& ws) {
+  const RSpan values = hermitian_eigenvalues(a, ws);
+  const std::size_t n = values.size();
+  out.values.assign(values.begin(), values.end());
+  out.vectors.reshape(n, n);
+  // Row j of the back-transform is eigenvector j; transpose in place so
+  // it becomes column j.
+  leading_eigenvectors(ws, n, std::span<cdouble>(out.vectors.data(), n * n));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      std::swap(out.vectors(i, j), out.vectors(j, i));
 }
 
 }  // namespace wivi::linalg

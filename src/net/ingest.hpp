@@ -12,6 +12,10 @@
 /// path stays observable end to end. A sensor that finds the engine's
 /// session table full (open_session's typed kOverload refusal) is refused
 /// the same way, chunk by chunk, and never throws through the receiver.
+/// The binding opens sessions on the receiver's thread, so each new sensor
+/// may release the results of an older finished session
+/// (rt::Engine::kRetainedResults): take per-sensor results from the
+/// events, or read them while the receiver is stopped.
 #pragma once
 
 #include <cstdint>

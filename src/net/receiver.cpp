@@ -85,6 +85,7 @@ Receiver::Metrics::Metrics(obs::Registry& r)
       chunks_evicted(r.counter("wivi_net_chunks_evicted_total")),
       chunk_gaps(r.counter("wivi_net_chunk_gaps_total")),
       ring_full_drops(r.counter("wivi_net_ring_full_drops_total")),
+      sink_errors(r.counter("wivi_net_sink_errors_total")),
       frames_in_flight(r.gauge("wivi_net_frames_in_flight")),
       sensors(r.gauge("wivi_net_sensors")),
       frame_to_ring_ns(r.histogram("wivi_net_frame_to_ring_ns")) {}
@@ -95,11 +96,22 @@ Receiver::Receiver(ReceiverConfig cfg, ChunkSink sink, EndSink end)
           cfg.reassembly,
           // The sink wrapper is where frame-to-ring latency and ring-full
           // drops are observed; it forwards to the caller's sink verbatim.
+          // A sink that throws (say, an engine refusing to open the
+          // sensor's session) must not unwind through the reassembler or
+          // the poll thread: the chunk counts as refused (sink-dropped, so
+          // the reassembly conservation law holds) and as a sink error.
           [this, user = std::move(sink)](std::uint32_t sensor_id,
                                          std::uint64_t chunk_seq,
                                          CVec&& chunk) -> bool {
-            const bool ok =
-                user ? user(sensor_id, chunk_seq, std::move(chunk)) : true;
+            bool ok = true;
+            if (user) {
+              try {
+                ok = user(sensor_id, chunk_seq, std::move(chunk));
+              } catch (...) {
+                m_->sink_errors.add(1);
+                return false;
+              }
+            }
             if (ok) {
               m_->frame_to_ring_ns.record(static_cast<std::uint64_t>(
                   std::max<std::int64_t>(0, obs::now_ns() - arrival_ns_)));
@@ -108,7 +120,15 @@ Receiver::Receiver(ReceiverConfig cfg, ChunkSink sink, EndSink end)
             }
             return ok;
           },
-          std::move(end), cfg.max_sensors) {
+          [this, user = std::move(end)](std::uint32_t sensor_id) {
+            if (!user) return;
+            try {
+              user(sensor_id);
+            } catch (...) {
+              m_->sink_errors.add(1);
+            }
+          },
+          cfg.max_sensors) {
   if (cfg_.registry == nullptr) {
     own_reg_ = std::make_unique<obs::Registry>();
     reg_ = own_reg_.get();

@@ -17,10 +17,13 @@
 ///
 /// Telemetry: the receiver registers the `wivi_net_*` metric family in
 /// the registry you hand it — pass rt::Engine::registry() and the metrics
-/// ride along in Engine::snapshot()'s JSON/Prometheus export (and in
-/// EngineStats' net_* mirror). Wire-level accounting obeys
-/// frames_in == accepted + rejected; accepted frames then obey the
-/// reassembler's conservation law (reassembler.hpp).
+/// ride along in Engine::snapshot()'s JSON/Prometheus export. Wire-level
+/// accounting obeys frames_in == accepted + rejected; accepted frames
+/// then obey the reassembler's conservation law (reassembler.hpp). An
+/// exception thrown by the ChunkSink or EndSink never escapes poll_once()
+/// or the polling thread: it is counted in `wivi_net_sink_errors_total`,
+/// and a throwing ChunkSink's chunk is refused (sink-dropped) like a full
+/// ring's.
 ///
 /// Capture tap: give the config a CaptureWriter and every *accepted*
 /// frame is appended with its arrival timestamp — the recording a
@@ -155,6 +158,7 @@ class Receiver {
     obs::Counter& chunks_evicted;
     obs::Counter& chunk_gaps;
     obs::Counter& ring_full_drops;
+    obs::Counter& sink_errors;  ///< exceptions caught from either sink
     obs::Gauge& frames_in_flight;
     obs::Gauge& sensors;
     obs::Histogram& frame_to_ring_ns;

@@ -193,6 +193,7 @@ SessionId Engine::open_session(api::PipelineSpec spec, IngestConfig ingest) {
                "thresholds >= 1");
   WIVI_REQUIRE(ingest.stats_interval_sec >= 0.0,
                "stats_interval_sec must be >= 0");
+  release_old_results();
   std::lock_guard lk(register_mu_);
   const std::size_t n = session_count_.load(std::memory_order_relaxed);
   if (n >= cfg_.max_sessions)
@@ -220,6 +221,7 @@ SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
                         std::memory_order_relaxed);
     s.samples_processed.fetch_add(trace.size(), std::memory_order_relaxed);
     s.closed.store(true, std::memory_order_release);
+    retain(s);
     s.finished.store(true, std::memory_order_release);
     m_.sessions_finished.add();
   } catch (const TypedError& e) {
@@ -706,11 +708,37 @@ void Engine::maybe_emit_stats(Session& s, std::int64_t now) {
 }
 
 void Engine::finalize(Session& s) {
+  // The periodic kStats stream ends on the counters of the whole stream
+  // (the last chunks may have arrived after the last due emission), as
+  // they stand before the final flush.
+  if (s.ingest.stats_interval_sec > 0.0) deliver(s, stats(s.id));
   s.pipeline->finish();  // final flush + FinishedEvent via the sink
   s.columns_out.store(s.columns_base + s.pipeline->columns_seen(),
                       std::memory_order_relaxed);
+  retain(s);
   s.finished.store(true, std::memory_order_release);
   m_.sessions_finished.add();
+}
+
+/// Queue `s`, whose pipeline has finished and is never touched by a
+/// worker again, as the newest finished session. The mutex orders the
+/// pipeline's last writes before release_old_results() reads them.
+void Engine::retain(const Session& s) {
+  std::lock_guard lk(retained_mu_);
+  retained_.push_back(s.id);
+}
+
+/// Move the image, tracks and gesture decode out of the finished sessions
+/// beyond the newest kRetainedResults. Runs only inside open_session(), on
+/// the caller's thread (see kRetainedResults).
+void Engine::release_old_results() {
+  std::lock_guard lk(retained_mu_);
+  for (; retained_.size() > kRetainedResults; retained_.pop_front()) {
+    api::Session& p = *sessions_[retained_.front()]->pipeline;
+    (void)p.take_image();
+    if (p.spec().track) (void)p.take_tracks();
+    if (p.spec().gesture) (void)p.take_gesture_result();
+  }
 }
 
 /// A pipeline (or engine-side delivery) failure under the claim flag:

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -129,7 +130,10 @@ struct IngestConfig {
   /// (cumulative counters + chunk-latency summary) at least this many
   /// seconds apart — in-band telemetry a sink can watch without polling
   /// Engine::stats(). Emitted from whichever worker holds the session's
-  /// claim, including on idle sessions. 0 (the default) disables it.
+  /// claim, including on idle sessions, plus once more when the closed
+  /// stream's last chunk has been processed, just before the final flush
+  /// and kFinished (bits a gesture stage emits in that flush are not in
+  /// its bits_out). 0 (the default) disables it.
   double stats_interval_sec = 0.0;
 };
 
@@ -289,7 +293,9 @@ class Engine {
   /// Register a new session running the given compiled-on-open pipeline
   /// spec, fed through a ring with the given ingestion policy. Throws
   /// TypedError(ErrorCode::kOverload) when all Config::max_sessions slots
-  /// are taken — a refusal, not a fault. Thread-safe.
+  /// are taken — a refusal, not a fault. First releases the image, tracks
+  /// and gesture decode of finished sessions beyond the newest
+  /// kRetainedResults (so does run_recorded()). Thread-safe.
   SessionId open_session(api::PipelineSpec spec, IngestConfig ingest = {});
 
   /// Offline fast path for a fully recorded trace: open a session and
@@ -370,18 +376,39 @@ class Engine {
   /// engine observes; extend it with caller-owned metrics if desired.
   [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }
 
+  /// Finished sessions whose image, tracks and gesture decode stay
+  /// readable through tracker(), multi_tracker() and gesture_result().
+  /// open_session() and run_recorded() first move those results out of
+  /// every finished session older than the newest kRetainedResults (with
+  /// api::Session::take_image(), take_tracks() and take_gesture_result());
+  /// its stats(id), pipeline(id).stats(), columns_seen(), samples_seen()
+  /// and count are kept. Only the caller's own opens release results,
+  /// never a worker, so results read between two opens cannot change
+  /// underneath the reader; a reader on another thread than the one
+  /// opening sessions must not hold these references across that
+  /// thread's opens. Without the bound every finished session would keep
+  /// its whole image (~0.44 MB per 24 s of stream) until the engine dies.
+  /// 16 keeps the retained images of 24 s streams near 7 MB while a
+  /// caller that runs sessions one after another can still read back the
+  /// last few.
+  static constexpr std::size_t kRetainedResults = 16;
+
   /// The session's compiled pipeline — safe to read once the session is
-  /// finished (kFinished observed or drain() returned).
+  /// finished (kFinished observed or drain() returned). Its image, tracks
+  /// and gesture decode are released after kRetainedResults later
+  /// sessions finish, at the next open (see kRetainedResults).
   [[nodiscard]] const api::Session& pipeline(SessionId id) const;
 
   /// The session's streaming image stage — safe to read once the session
-  /// is finished, like pipeline().
+  /// is finished, like pipeline(); image() reads empty once released.
   [[nodiscard]] const StreamingTracker& tracker(SessionId id) const;
-  /// Final gesture decode (sessions with a gesture stage; post-drain).
+  /// Final gesture decode (sessions with a gesture stage; post-drain,
+  /// like pipeline(); reads empty once released).
   [[nodiscard]] const core::GestureDecoder::Result& gesture_result(
       SessionId id) const;
   /// The session's multi-target tracker (sessions with a track stage) —
-  /// safe to read once the session is finished, like pipeline().
+  /// safe to read once the session is finished, like pipeline(); reads as
+  /// freshly built once released.
   [[nodiscard]] const track::MultiTargetTracker& multi_tracker(
       SessionId id) const;
 
@@ -483,6 +510,8 @@ class Engine {
   void check_watchdog(Session& s, std::int64_t now_ns);
   void maybe_emit_stats(Session& s, std::int64_t now_ns);
   void finalize(Session& s);
+  void retain(const Session& s);
+  void release_old_results();
   void handle_failure(Session& s, ErrorCode code, const char* what) noexcept;
   void fail_session(Session& s, ErrorCode code, const char* what) noexcept;
   void deliver(Session& s, api::Event&& e);
@@ -504,6 +533,10 @@ class Engine {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::atomic<std::size_t> session_count_{0};
   std::mutex register_mu_;
+  /// Finished sessions whose image, tracks and gesture decode are held,
+  /// oldest first (trimmed to kRetainedResults by release_old_results()).
+  std::mutex retained_mu_;
+  std::deque<SessionId> retained_;
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};

@@ -150,6 +150,12 @@ core::AngleTimeImage StreamingTracker::take_image() {
   return out;
 }
 
+void StreamingTracker::release_stream() {
+  base_ += buf_.size();
+  CVec().swap(buf_);
+  sliding_ = core::SlidingCorrelation(cfg_.music.subarray, cfg_.music.isar.window);
+}
+
 void StreamingTracker::compact() {
   // The incremental advance still reads from the *previous* window start
   // (= sliding_.position()), so that is the earliest sample we must keep.

@@ -74,6 +74,12 @@ class StreamingTracker {
   /// only call this once no further push() will follow.
   [[nodiscard]] core::AngleTimeImage take_image();
 
+  /// Free the buffered stream tail and the sliding correlation — what
+  /// only further push() calls would read. samples_seen(), num_columns()
+  /// and image() are unchanged; only call this once no further push()
+  /// will follow (wivi::Session::finish() does).
+  void release_stream();
+
   /// Image columns completed so far (counts columns moved out by
   /// take_image() too; equals image().num_times() until then).
   [[nodiscard]] std::size_t num_columns() const noexcept {

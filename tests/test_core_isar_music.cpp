@@ -209,6 +209,15 @@ TEST(Music, RejectsWindowShorterThanSubarray) {
   EXPECT_THROW((void)music.smoothed_correlation(CVec(16)), InvalidArgument);
 }
 
+TEST(Music, RejectsAnEmptyCorrelationWithATypedError) {
+  const SmoothedMusic music;
+  const RVec angles = angle_grid_deg(1.0);
+  RVec out;
+  EXPECT_THROW(music.pseudospectrum_from_correlation_into(linalg::CMatrix{},
+                                                          angles, out),
+               InvalidArgument);
+}
+
 // ------------------------------------------------------------- Tracker ---
 
 TEST(Tracker, ImageDimensionsFollowConfig) {

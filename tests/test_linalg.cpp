@@ -1,13 +1,17 @@
-// Unit tests for wivi::linalg - complex matrices and the Hermitian Jacobi
-// eigensolver that powers smoothed MUSIC.
+// Unit tests for wivi::linalg - complex matrices and the Hermitian
+// eigensolver (Householder + QL) that powers smoothed MUSIC, checked
+// against the test-only cyclic Jacobi oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/common/error.hpp"
 #include "src/common/random.hpp"
 #include "src/linalg/cmatrix.hpp"
 #include "src/linalg/eig.hpp"
+#include "tests/jacobi_oracle.hpp"
 
 namespace wivi::linalg {
 namespace {
@@ -22,6 +26,64 @@ CMatrix random_hermitian(std::size_t n, Rng& rng) {
       a(j, i) = std::conj(v);
     }
   }
+  return a;
+}
+
+/// Orthogonal projector V_k V_k^H onto the span of the first k columns.
+CMatrix leading_projector(const CMatrix& v, std::size_t k) {
+  const std::size_t n = v.rows();
+  CMatrix p(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t c = 0; c < k; ++c) p(i, j) += v(i, c) * std::conj(v(j, c));
+  return p;
+}
+
+double max_abs_diff(const CMatrix& a, const CMatrix& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      worst = std::max(worst, std::abs(a(i, j) - b(i, j)));
+  return worst;
+}
+
+/// max |(V diag(values) V^H - A)_ij|: how well a decomposition rebuilds A.
+double reconstruction_error(const CMatrix& a, const EigResult& r) {
+  const std::size_t n = a.rows();
+  CMatrix rebuilt(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t c = 0; c < n; ++c)
+        rebuilt(i, j) += r.vectors(i, c) * r.values[c] * std::conj(r.vectors(j, c));
+  return max_abs_diff(rebuilt, a);
+}
+
+/// max |(V^H V - I)_ij|.
+double orthonormality_error(const CMatrix& v) {
+  const CMatrix vhv = v.hermitian() * v;
+  return max_abs_diff(vhv, CMatrix::identity(v.cols()));
+}
+
+/// A random unitary matrix: the eigenvectors of a random Hermitian one.
+CMatrix random_unitary(std::size_t n, Rng& rng) {
+  return oracle::jacobi_eig(random_hermitian(n, rng)).vectors;
+}
+
+/// U diag(values) U^H for a random unitary U; `u_out` receives U.
+CMatrix with_spectrum(const RVec& values, Rng& rng, CMatrix* u_out = nullptr) {
+  const std::size_t n = values.size();
+  const CMatrix u = random_unitary(n, rng);
+  CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) {
+      cdouble acc{0.0, 0.0};
+      for (std::size_t c = 0; c < n; ++c)
+        acc += u(i, c) * values[c] * std::conj(u(j, c));
+      a(i, j) = acc;
+      a(j, i) = std::conj(acc);
+    }
+  for (std::size_t i = 0; i < n; ++i) a(i, i) = a(i, i).real();
+  if (u_out != nullptr) *u_out = u;
   return a;
 }
 
@@ -183,6 +245,171 @@ TEST(Eig, RankOnePlusNoiseSeparatesSubspaces) {
   for (const auto& v : s) s_energy += norm2(v);
   EXPECT_NEAR(e.values[0], s_energy + sigma2, 1e-9);
   for (std::size_t i = 1; i < n; ++i) EXPECT_NEAR(e.values[i], sigma2, 1e-9);
+}
+
+// ------------------------------------------------ against the oracle ---
+
+// Eigenvalues within 1e-12 ||A||_F of cyclic Jacobi at tolerance 1e-15,
+// and the same leading subspaces (compared as projectors, which are
+// unique even where individual eigenvectors are only defined up to phase).
+class EigOracle : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EigOracle, MatchesJacobiEigenvaluesAndLeadingSubspaces) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 104729 + 3);
+  const CMatrix a = random_hermitian(n, rng);
+  const EigResult got = hermitian_eig(a);
+  const EigResult ref = oracle::jacobi_eig(a);
+  const double fro = a.frobenius_norm();
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(got.values[i], ref.values[i], 1e-12 * fro) << "i=" << i;
+  for (const std::size_t k : {std::size_t{1}, std::min<std::size_t>(3, n),
+                              (n + 1) / 2}) {
+    EXPECT_LT(max_abs_diff(leading_projector(got.vectors, k),
+                           leading_projector(ref.vectors, k)),
+              1e-10)
+        << "k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, EigOracle,
+                         ::testing::Values(1, 2, 3, 5, 8, 16, 32, 50));
+
+TEST(Eig, LeadingEigenvectorsAreTheFullSolutionsColumnsBitForBit) {
+  // MUSIC back-transforms only its k signal vectors; they must be exactly
+  // what the full decomposition would have produced.
+  Rng rng(17);
+  const std::size_t n = 32;
+  const CMatrix a = random_hermitian(n, rng);
+  const EigResult full = hermitian_eig(a);
+  EigWorkspace ws;
+  const RSpan values = hermitian_eigenvalues(a, ws);
+  ASSERT_EQ(values.size(), n);
+  for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(values[j], full.values[j]);
+  const std::size_t k = 4;
+  CVec rows(k * n);
+  leading_eigenvectors(ws, k, rows);
+  for (std::size_t j = 0; j < k; ++j)
+    for (std::size_t i = 0; i < n; ++i) {
+      const cdouble expect = full.vectors(i, j);
+      EXPECT_EQ(std::memcmp(&rows[j * n + i], &expect, sizeof(cdouble)), 0)
+          << "vector " << j << " entry " << i;
+    }
+  EXPECT_THROW(leading_eigenvectors(ws, n + 1, rows), InvalidArgument);
+  EXPECT_THROW(leading_eigenvectors(ws, k + 1, rows), InvalidArgument);
+}
+
+TEST(Eig, ZeroMatrixHasZeroSpectrumAndAUnitaryBasis) {
+  for (const std::size_t n : {1ul, 2ul, 7ul, 32ul}) {
+    const EigResult r = hermitian_eig(CMatrix(n, n));
+    for (const double v : r.values) EXPECT_EQ(v, 0.0);
+    EXPECT_LT(orthonormality_error(r.vectors), 1e-15) << "n=" << n;
+  }
+}
+
+TEST(Eig, RejectsAnEmptyMatrix) {
+  EXPECT_THROW((void)hermitian_eig(CMatrix{}), InvalidArgument);
+  // Also on a workspace warmed by a larger matrix, which then still works.
+  Rng rng(8);
+  const CMatrix a = random_hermitian(5, rng);
+  EigWorkspace ws;
+  EigResult out;
+  hermitian_eig_into(a, out, ws);
+  EXPECT_THROW(hermitian_eig_into(CMatrix{}, out, ws), InvalidArgument);
+  EXPECT_THROW((void)hermitian_eigenvalues(CMatrix{}, ws), InvalidArgument);
+  EigResult again;
+  hermitian_eig_into(a, again, ws);
+  EXPECT_EQ(std::memcmp(again.values.data(), hermitian_eig(a).values.data(),
+                        5 * sizeof(double)),
+            0);
+}
+
+TEST(Eig, RepeatedEigenvaluesKeepTheirEigenspaces) {
+  // Triple leading eigenvalue, a double in the middle, distinct tail: each
+  // eigenvector is arbitrary inside its eigenspace, but the eigenspace
+  // (the projector) is not.
+  Rng rng(99);
+  const RVec spectrum = {5.0, 5.0, 5.0, 2.0, 2.0, 1.0, 0.5, 0.25, 0.125, -1.0};
+  CMatrix u;
+  const CMatrix a = with_spectrum(spectrum, rng, &u);
+  const EigResult r = hermitian_eig(a);
+  for (std::size_t i = 0; i < spectrum.size(); ++i)
+    EXPECT_NEAR(r.values[i], spectrum[i], 1e-13) << "i=" << i;
+  EXPECT_LT(orthonormality_error(r.vectors), 1e-13);
+  EXPECT_LT(reconstruction_error(a, r), 1e-13);
+  EXPECT_LT(max_abs_diff(leading_projector(r.vectors, 3), leading_projector(u, 3)),
+            1e-12);
+  EXPECT_LT(max_abs_diff(leading_projector(r.vectors, 5), leading_projector(u, 5)),
+            1e-12);
+  // A fully degenerate spectrum: any unitary basis is correct.
+  const EigResult id = hermitian_eig(CMatrix::identity(6));
+  for (const double v : id.values) EXPECT_EQ(v, 1.0);
+  EXPECT_LT(orthonormality_error(id.vectors), 1e-15);
+}
+
+TEST(Eig, RankOnePlusNoiseMatchesTheOracleSignalVector) {
+  Rng rng(4242);
+  const std::size_t n = 32;
+  CVec s(n);
+  for (auto& v : s) v = rng.complex_gaussian();
+  CMatrix r = CMatrix::outer(s);
+  for (std::size_t i = 0; i < n; ++i) r(i, i) += 1e-3;
+  const EigResult got = hermitian_eig(r);
+  const EigResult ref = oracle::jacobi_eig(r);
+  const double fro = r.frobenius_norm();
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(got.values[i], ref.values[i], 1e-12 * fro) << "i=" << i;
+  EXPECT_LT(max_abs_diff(leading_projector(got.vectors, 1),
+                         leading_projector(ref.vectors, 1)),
+            1e-12);
+  EXPECT_LT(orthonormality_error(got.vectors), 1e-13);
+}
+
+TEST(Eig, TridiagonalInputWithComplexOffDiagonals) {
+  // Nothing below the subdiagonal, so no Householder reflector fires and
+  // the diagonal phase scaling alone must make the matrix real. A zero
+  // coupling splits it into independent blocks.
+  Rng rng(5);
+  const std::size_t n = 12;
+  CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) = rng.gaussian();
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const cdouble v = i == 6 ? cdouble{0.0, 0.0} : rng.complex_gaussian();
+    a(i + 1, i) = v;
+    a(i, i + 1) = std::conj(v);
+  }
+  const EigResult got = hermitian_eig(a);
+  const EigResult ref = oracle::jacobi_eig(a);
+  const double fro = a.frobenius_norm();
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(got.values[i], ref.values[i], 1e-12 * fro) << "i=" << i;
+  EXPECT_LT(reconstruction_error(a, got), 1e-13 * fro);
+  EXPECT_LT(orthonormality_error(got.vectors), 1e-13);
+  for (const std::size_t k : {1ul, 4ul, 9ul})
+    EXPECT_LT(max_abs_diff(leading_projector(got.vectors, k),
+                           leading_projector(ref.vectors, k)),
+              1e-10)
+        << "k=" << k;
+}
+
+TEST(Eig, WorkspaceReuseAcrossSizesMatchesAFreshWorkspace) {
+  // Every workspace buffer is rewritten per call: a decomposition after a
+  // larger one on the same workspace is bit-identical to a fresh one.
+  Rng rng(31);
+  const CMatrix big = random_hermitian(40, rng);
+  const CMatrix small = random_hermitian(9, rng);
+  EigWorkspace ws;
+  EigResult out;
+  hermitian_eig_into(big, out, ws);
+  hermitian_eig_into(small, out, ws);
+  const EigResult fresh = hermitian_eig(small);
+  ASSERT_EQ(out.values.size(), fresh.values.size());
+  EXPECT_EQ(std::memcmp(out.values.data(), fresh.values.data(),
+                        fresh.values.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(out.vectors.data(), fresh.vectors.data(),
+                        81 * sizeof(cdouble)),
+            0);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // decoder (at random read-split sizes) and the demux. The invariant
 // everywhere: malformed input produces a *typed rejection* — never a
 // crash, hang, exception or accounting leak. The CI net-ingress job runs
-// this binary under ASan/UBSan, which is what turns "never a crash" into
-// "never an out-of-bounds read either".
+// this binary under ASan/UBSan with libstdc++'s checked containers
+// (-D_GLIBCXX_ASSERTIONS, which also catches an index past size() but
+// inside capacity), which is what turns "never a crash" into "never an
+// out-of-bounds access either".
 //
 // Seeds derive from WIVI_CHAOS_SEED (default 1) via fault::splitmix64, so
 // a failing mutation reproduces exactly: re-run with the same seed.
@@ -54,28 +56,43 @@ CVec ramp_chunk(std::size_t n, double base = 0.0) {
 
 /// One structure-aware mutation of a valid frame. Some mutations keep the
 /// frame valid (identity / CRC-preserving no-ops are fine: the harness
-/// asserts "parses or rejects typed", not "always rejects").
+/// asserts "parses or rejects typed", not "always rejects"). Mutations
+/// stack, so a header-field write may target a byte an earlier truncation
+/// removed: such a write is skipped (its random draws still happen, so
+/// the rest of the sequence does not shift).
 std::vector<std::byte> mutate(std::vector<std::byte> f, Rng& rng) {
+  const auto put = [&f](std::uint64_t index, std::uint64_t value) {
+    if (index < f.size()) f[index] = static_cast<std::byte>(value);
+  };
   switch (rng.below(8)) {
     case 0:  // truncate anywhere, including inside the header
       f.resize(rng.below(f.size() + 1));
       break;
-    case 1:  // stomp the magic
-      f[rng.below(4)] = static_cast<std::byte>(rng.next());
+    case 1: {  // stomp the magic
+      const std::uint64_t value = rng.next();
+      put(rng.below(4), value);
       break;
-    case 2:  // bogus version
-      f[4] = static_cast<std::byte>(rng.next());
-      f[5] = static_cast<std::byte>(rng.next());
+    }
+    case 2: {  // bogus version
+      const std::uint64_t lo = rng.next();
+      const std::uint64_t hi = rng.next();
+      put(4, lo);
+      put(5, hi);
       break;
+    }
     case 3:  // unknown flag bits
-      f[6] = static_cast<std::byte>(rng.next() | 0x02);
+      put(6, rng.next() | 0x02);
       break;
-    case 4:  // length field lies (overflow or mismatch)
-      f[12 + rng.below(4)] = static_cast<std::byte>(rng.next());
+    case 4: {  // length field lies (overflow or mismatch)
+      const std::uint64_t value = rng.next();
+      put(12 + rng.below(4), value);
       break;
-    case 5:  // fragment fields lie
-      f[24 + rng.below(4)] = static_cast<std::byte>(rng.next());
+    }
+    case 5: {  // fragment fields lie
+      const std::uint64_t value = rng.next();
+      put(24 + rng.below(4), value);
       break;
+    }
     case 6:  // flip a random byte anywhere (CRC catches what checks miss)
       if (!f.empty()) f[rng.below(f.size())] ^= std::byte{1};
       break;

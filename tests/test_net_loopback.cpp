@@ -5,7 +5,8 @@
 // byte-identical typed event stream an in-process feed of the same
 // chunks produces. Also pins the wivi_net_* metric export (engine
 // snapshot), typed rejection of malformed datagrams arriving over a real
-// socket, and the refusal of sensors that find the session table full.
+// socket, the refusal of sensors that find the session table full, and
+// the counting (not throwing) of sink exceptions on the poll thread.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -73,14 +74,18 @@ void pump(net::Receiver& rx) {
   }
 }
 
-/// Wait (up to ~2 s) until a background-polling receiver registered with
-/// `engine` has accepted `frames`. Reads the atomic wivi_net_* counters:
-/// the receiver's WireStats belong to its poll thread until stop().
-void wait_for_accepted(const rt::Engine& engine, std::uint64_t frames) {
-  for (int i = 0; i < 2000 && engine.snapshot().counter_value(
-                                  "wivi_net_frames_accepted_total") < frames;
-       ++i)
+/// Wait (up to ~2 s) until the counter `name` of a background-polling
+/// receiver registered with `engine` reaches `value`. Reads the atomic
+/// wivi_net_* counters: the receiver's WireStats belong to its poll
+/// thread until stop().
+void wait_for_counter(const rt::Engine& engine, const char* name,
+                      std::uint64_t value) {
+  for (int i = 0; i < 2000 && engine.snapshot().counter_value(name) < value; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+void wait_for_accepted(const rt::Engine& engine, std::uint64_t frames) {
+  wait_for_counter(engine, "wivi_net_frames_accepted_total", frames);
 }
 
 /// One network-fed engine run over the given transport; returns the
@@ -389,6 +394,64 @@ TEST(Loopback, FullSessionTableRefusesASensorUnderTheBackgroundPoller) {
     if (e.type == rt::Event::Type::kFinished) ++finished;
   }
   EXPECT_EQ(finished, 2u);
+}
+
+TEST(Loopback, ThrowingSinkIsCountedNotThrownUnderTheBackgroundPoller) {
+  // An invalid IngestConfig makes every open_session throw InvalidArgument
+  // (not the kOverload refusal the binding absorbs), so both of the
+  // binding's sinks throw. The receiver must count each failure, refuse
+  // the chunks as sink-dropped, and keep its poll thread alive — an
+  // escaping exception would terminate the process.
+  rt::Engine engine({.num_threads = 1});
+  rt::IngestConfig bad = make_ingest();
+  bad.stats_interval_sec = -1.0;
+  net::EngineBinding binding(engine, {make_spec(), bad});
+  net::ReceiverConfig rc;
+  rc.enable_tcp = false;
+  rc.registry = &engine.registry();
+  net::Receiver rx(rc, binding.sink(), binding.end_sink());
+  rx.start();
+
+  net::Sender::Config sc;
+  sc.port = rx.udp_port();
+  sc.max_payload = kMaxPayload;  // multi-fragment chunks
+  net::Sender sender(sc);
+  auto feed = nettest::make_feed(3 * kChunkLen, kTraceSeed, kChunkLen);
+  CVec chunk;
+  std::uint64_t chunks = 0;
+  while (feed.next(chunk)) {
+    sender.send_chunk(5, chunk);
+    ++chunks;
+  }
+  // A frame is counted accepted before it reaches the sink, so wait on
+  // the error counter itself.
+  wait_for_counter(engine, "wivi_net_sink_errors_total", chunks);
+  EXPECT_EQ(engine.snapshot().counter_value("wivi_net_sink_errors_total"), chunks);
+
+  sender.send_end(5);  // the end sink throws too
+  const std::uint64_t expect_frames = sender.frames_sent();
+  wait_for_counter(engine, "wivi_net_sink_errors_total", chunks + 1);
+  rx.stop();
+  rx.flush();
+
+  EXPECT_EQ(rx.wire_stats().frames_accepted, expect_frames);
+  const net::Demux::Stats st = rx.demux().stats();
+  EXPECT_EQ(st.sink_dropped_chunks, chunks);
+  EXPECT_EQ(st.chunks_delivered, 0u);
+  EXPECT_EQ(st.frames_in, expect_frames);
+  EXPECT_EQ(st.frames_in, st.frames_delivered + st.frames_dup + st.frames_stale +
+                              st.frames_evicted + st.frames_decode_failed +
+                              st.frames_sink_dropped + st.frames_control +
+                              st.frames_in_flight);
+  EXPECT_EQ(st.frames_control, 1u);
+  EXPECT_EQ(st.frames_in_flight, 0u);
+  const obs::Snapshot snap = engine.snapshot();
+  EXPECT_EQ(snap.counter_value("wivi_net_sink_errors_total"), chunks + 1);
+  EXPECT_EQ(snap.counter_value("wivi_net_frames_sink_dropped_total"),
+            st.frames_sink_dropped);
+  EXPECT_EQ(snap.counter_value("wivi_net_ring_full_drops_total"), 0u);
+  EXPECT_EQ(binding.num_sessions(), 0u);
+  EXPECT_EQ(engine.num_sessions(), 0u);
 }
 
 }  // namespace

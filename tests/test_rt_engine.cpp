@@ -404,5 +404,131 @@ TEST(Engine, FullSessionTableRefusesWithATypedOverload) {
             2u);
 }
 
+/// Stream `h` through a fresh blocking session in 100-sample chunks,
+/// close it and wait for it to finish.
+rt::SessionId stream_to_finish(rt::Engine& engine,
+                               const api::PipelineSpec& spec, const CVec& h) {
+  const rt::SessionId id = engine.open_session(spec, blocking());
+  for (std::size_t pos = 0; pos < h.size(); pos += 100)
+    engine.offer(id, CVec(h.begin() + static_cast<std::ptrdiff_t>(pos),
+                          h.begin() + static_cast<std::ptrdiff_t>(pos + 100)));
+  engine.close_session(id);
+  engine.drain();
+  return id;
+}
+
+TEST(Engine, OpeningASessionReleasesTheOldestFinishedResults) {
+  // Sessions finish one at a time, streamed and recorded alternately.
+  // Each open moves the image, tracks and gesture decode out of the
+  // finished sessions beyond the newest kRetainedResults; their counters,
+  // stage statistics and count stay.
+  constexpr std::size_t kReleased = 3;
+  constexpr std::size_t kTotal = rt::Engine::kRetainedResults + kReleased + 1;
+  const CVec h = sim::synthetic_mover_trace(400, 91, 0.5);
+  const core::AngleTimeImage batch = core::MotionTracker().process(h, 0.0);
+  api::PipelineSpec spec = counting_spec();
+  spec.track = api::TrackStage{};
+  spec.gesture = api::GestureStage{};
+  rt::Engine engine({.num_threads = 2});
+  std::vector<rt::SessionId> ids;
+  std::vector<api::PipelineStats> at_finish;
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    ids.push_back(i % 2 == 0 ? engine.run_recorded(spec, h)
+                             : stream_to_finish(engine, spec, h));
+    at_finish.push_back(engine.pipeline(ids.back()).stats());
+    EXPECT_FALSE(engine.gesture_result(ids.back()).matched_output.empty());
+  }
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    const rt::SessionId id = ids[i];
+    const api::PipelineStats now = engine.pipeline(id).stats();
+    EXPECT_TRUE(engine.stats(id).finished);
+    EXPECT_EQ(engine.stats(id).columns_out, batch.num_times()) << i;
+    EXPECT_EQ(now.columns_seen, batch.num_times()) << i;
+    EXPECT_EQ(now.samples_seen, h.size()) << i;
+    EXPECT_EQ(now.columns_seen, at_finish[i].columns_seen) << i;
+    EXPECT_EQ(now.samples_seen, at_finish[i].samples_seen) << i;
+    EXPECT_EQ(now.stages.size(), at_finish[i].stages.size()) << i;
+    EXPECT_GT(engine.pipeline(id).spatial_variance(), 0.0) << i;
+    const bool released = i < kReleased;
+    EXPECT_EQ(engine.multi_tracker(id).histories().empty(), released) << i;
+    EXPECT_EQ(engine.tracker(id).image().num_times(),
+              released ? 0u : batch.num_times()) << i;
+    EXPECT_EQ(engine.gesture_result(id).matched_output.empty(), released) << i;
+    if (!released) {
+      EXPECT_EQ(engine.tracker(id).image().columns, batch.columns) << i;
+    }
+  }
+}
+
+TEST(Engine, TakeTracksMovesTheHistoriesOutOfAFinishedPipeline) {
+  const CVec h = sim::synthetic_mover_trace(400, 91, 0.5);
+  api::PipelineSpec spec = counting_spec(false);
+  spec.track = api::TrackStage{};
+  api::Session session(spec);
+  EXPECT_THROW((void)session.take_tracks(), InvalidArgument);  // still open
+  session.run(h);
+  const std::vector<track::TrackHistory> before =
+      session.multi_tracker().histories();
+  ASSERT_FALSE(before.empty());
+  const std::vector<track::TrackHistory> taken = session.take_tracks();
+  ASSERT_EQ(taken.size(), before.size());
+  for (std::size_t i = 0; i < taken.size(); ++i) {
+    EXPECT_EQ(taken[i].id, before[i].id);
+    EXPECT_EQ(taken[i].angles_deg, before[i].angles_deg);
+  }
+  EXPECT_TRUE(session.multi_tracker().histories().empty());
+  EXPECT_EQ(session.columns_seen(), core::MotionTracker().process(h, 0.0).num_times());
+  EXPECT_THROW((void)api::Session(counting_spec()).take_tracks(), InvalidArgument);
+}
+
+TEST(Engine, FinishedResultsStayStableWhileLaterSessionsFinish) {
+  // A reader holds a finished session's results while the workers finish
+  // kRetainedResults later sessions, and reads the counters of one whose
+  // results were already released. No open happens meanwhile, so nothing
+  // it reads may change (under TSan: nothing it reads is written).
+  const CVec h = sim::synthetic_mover_trace(400, 91, 0.5);
+  api::PipelineSpec spec = counting_spec(false);
+  spec.track = api::TrackStage{};
+  rt::Engine engine({.num_threads = 2});
+  const rt::SessionId released = stream_to_finish(engine, spec, h);
+  for (std::size_t i = 0; i < rt::Engine::kRetainedResults; ++i)
+    (void)stream_to_finish(engine, spec, h);
+  const rt::SessionId held = stream_to_finish(engine, spec, h);
+  ASSERT_EQ(engine.tracker(released).image().num_times(), 0u);
+  std::vector<rt::SessionId> later;
+  for (std::size_t i = 0; i < rt::Engine::kRetainedResults; ++i)
+    later.push_back(engine.open_session(spec, blocking()));
+
+  const std::size_t columns = engine.tracker(held).image().num_times();
+  ASSERT_GT(columns, 0u);
+  const std::size_t tracks = engine.multi_tracker(held).histories().size();
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> mismatches{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const api::PipelineStats a = engine.pipeline(released).stats();
+      const api::PipelineStats b = engine.pipeline(held).stats();
+      const bool ok = a.columns_seen == columns && a.samples_seen == h.size() &&
+                      b.columns_seen == columns && b.samples_seen == h.size() &&
+                      engine.tracker(held).image().num_times() == columns &&
+                      engine.multi_tracker(held).histories().size() == tracks &&
+                      engine.stats(held).finished;
+      if (!ok) mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (std::size_t pos = 0; pos < h.size(); pos += 100)
+    for (const rt::SessionId id : later)
+      engine.offer(id, CVec(h.begin() + static_cast<std::ptrdiff_t>(pos),
+                            h.begin() + static_cast<std::ptrdiff_t>(pos + 100)));
+  for (const rt::SessionId id : later) engine.close_session(id);
+  engine.drain();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (const rt::SessionId id : later)
+    EXPECT_EQ(engine.tracker(id).image().num_times(), columns);
+  EXPECT_EQ(engine.tracker(held).image().num_times(), columns);
+}
+
 }  // namespace
 }  // namespace wivi

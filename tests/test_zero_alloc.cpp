@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <thread>
 
 #include "src/common/random.hpp"
 #include "src/core/doppler.hpp"
@@ -86,6 +88,22 @@ CVec make_trace(std::size_t n) {
   return h;
 }
 
+/// R = sum_{i<k} 100 s_i s_i^H + 0.01 I over random s_i (w' = 32): k
+/// dominant eigenvalues over a flat noise floor, i.e. model order k.
+linalg::CMatrix correlation_of_order(int k, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = 32;
+  linalg::CMatrix r(n, n);
+  CVec s(n);
+  for (int src = 0; src < k; ++src) {
+    for (auto& v : s) v = rng.complex_gaussian();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) r(i, j) += 100.0 * s[i] * std::conj(s[j]);
+  }
+  for (std::size_t i = 0; i < n; ++i) r(i, i) = r(i, i).real() + 0.01;
+  return r;
+}
+
 TEST(ZeroAlloc, FftPlanExecutionNeverAllocates) {
   const dsp::FftPlan plan(64);
   Rng rng(1);
@@ -120,6 +138,76 @@ TEST(ZeroAlloc, MusicPseudospectrumIntoIsAllocationFreeWhenWarm) {
   const long before = g_alloc_count;
   music.pseudospectrum_into(h, angles, spectrum, &order);
   EXPECT_EQ(g_alloc_count - before, 0);
+}
+
+TEST(ZeroAlloc, MusicStaysAllocationFreeAsTheModelOrderGrows) {
+  // The signal-vector buffer is sized by the model order k; it reserves
+  // the max_sources worst case, so warming on order 1 covers every order.
+  const core::SmoothedMusic music;
+  const RVec angles = core::angle_grid_deg(1.0);
+  const int max_k = music.config().max_sources;
+  const linalg::CMatrix order1 = correlation_of_order(1, 21);
+  const linalg::CMatrix order4 = correlation_of_order(4, 22);
+  const linalg::CMatrix order_max = correlation_of_order(max_k, 23);
+  RVec spectrum;
+  int order = 0;
+  music.pseudospectrum_from_correlation_into(order1, angles, spectrum, &order);
+  ASSERT_EQ(order, 1);
+
+  const long before = g_alloc_count;
+  int order_a = 0;
+  int order_b = 0;
+  music.pseudospectrum_from_correlation_into(order4, angles, spectrum, &order_a);
+  music.pseudospectrum_from_correlation_into(order_max, angles, spectrum, &order_b);
+  EXPECT_EQ(g_alloc_count - before, 0);
+  EXPECT_EQ(order_a, 4);
+  EXPECT_EQ(order_b, max_k);
+}
+
+TEST(ZeroAlloc, FullEigendecompositionIsAllocationFreeWhenWarm) {
+  const linalg::CMatrix a = correlation_of_order(3, 24);
+  const linalg::CMatrix b = correlation_of_order(9, 25);
+  linalg::EigResult out;
+  linalg::EigWorkspace ws;
+  linalg::hermitian_eig_into(a, out, ws);  // warm
+
+  const long before = g_alloc_count;
+  linalg::hermitian_eig_into(b, out, ws);
+  linalg::hermitian_eig_into(a, out, ws);
+  EXPECT_EQ(g_alloc_count - before, 0);
+}
+
+TEST(ZeroAlloc, ColumnDoesNotDependOnTheThreadsPreviousColumn) {
+  // The per-thread MUSIC workspace is shared by every estimator on the
+  // thread; a column must be bit-identical whether it is the thread's
+  // first or follows a matrix of a different model order.
+  const RVec angles = core::angle_grid_deg(1.0);
+  const linalg::CMatrix target = correlation_of_order(3, 31);
+  auto column_after = [&](const linalg::CMatrix* before) {
+    const core::SmoothedMusic music;
+    RVec spectrum;
+    int order = 0;
+    if (before != nullptr)
+      music.pseudospectrum_from_correlation_into(*before, angles, spectrum, &order);
+    music.pseudospectrum_from_correlation_into(target, angles, spectrum, &order);
+    EXPECT_EQ(order, 3);
+    return spectrum;
+  };
+  auto on_fresh_thread = [&](const linalg::CMatrix* before) {
+    RVec out;
+    std::thread([&] { out = column_after(before); }).join();
+    return out;
+  };
+  const linalg::CMatrix higher = correlation_of_order(12, 32);
+  const linalg::CMatrix lower = correlation_of_order(1, 33);
+  const RVec fresh = on_fresh_thread(nullptr);
+  ASSERT_EQ(fresh.size(), angles.size());
+  for (const RVec& other : {on_fresh_thread(&higher), on_fresh_thread(&lower),
+                            column_after(&higher), column_after(&lower)}) {
+    ASSERT_EQ(other.size(), fresh.size());
+    EXPECT_EQ(std::memcmp(other.data(), fresh.data(), fresh.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(ZeroAlloc, PlanRegistryHitAcquisitionIsAllocationFree) {
