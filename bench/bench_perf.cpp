@@ -55,6 +55,28 @@ void BM_HermitianEig(benchmark::State& state) {
 }
 BENCHMARK(BM_HermitianEig)->Arg(16)->Arg(32)->Arg(64);
 
+void BM_SmoothedCorrelation(benchmark::State& state) {
+  // One column's Eq. 5.2 correlation (w = 100, w' = 32) in streaming
+  // order: each iteration moves the window one 25-sample hop along a 25 s
+  // trace, wrapping to the start at its end.
+  const CVec h = make_trace(static_cast<std::size_t>(25 * 312.5));
+  const core::MotionTracker::Config cfg;
+  const auto w = static_cast<std::size_t>(cfg.music.isar.window);
+  const auto hop = static_cast<std::size_t>(cfg.hop);
+  core::SlidingCorrelation sliding(cfg.music.subarray, cfg.music.isar.window);
+  linalg::CMatrix r;
+  std::size_t pos = 0;
+  for (auto _ : state) {
+    sliding.advance_to(h, pos);
+    sliding.correlation_into(r);
+    benchmark::DoNotOptimize(r.data());
+    benchmark::ClobberMemory();
+    pos += hop;
+    if (pos + w > h.size()) pos = 0;
+  }
+}
+BENCHMARK(BM_SmoothedCorrelation);
+
 void BM_Pseudospectrum(benchmark::State& state) {
   const CVec h = make_trace(100);
   const core::SmoothedMusic music;

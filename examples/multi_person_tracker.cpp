@@ -96,10 +96,10 @@ int main(int argc, char** argv) {
   std::printf("streaming == batch: %s\n\n", parity ? "yes (bit for bit)" : "NO");
 
   // The batch-throughput route for the same trace: the same spec, executed
-  // in the parallel-offline mode — the image rebuilt column-parallel
-  // (par::ParallelImageBuilder) instead of slid sequentially, with
-  // thread-count-invariant output ~1e-9 from the streamed image, so the
-  // track picture must agree.
+  // in the parallel-offline mode — the image built column-parallel
+  // (par::ParallelImageBuilder), each column from its own window, so the
+  // image equals the streamed one bit for bit and the track picture must
+  // agree.
   PipelineSpec parallel_spec;
   parallel_spec.image.emit_columns = false;
   parallel_spec.track = api::TrackStage{};

@@ -10,8 +10,8 @@
 ///     state machines and their pinned streaming==batch contract);
 ///   * **parallel offline** — run(trace, Parallelism{n}): the image built
 ///     column-parallel over n workers (par::ParallelImageBuilder +
-///     rt::StreamingTracker::adopt) — thread-count-invariant output, ~1e-9
-///     from the sliding path (DESIGN.md §7);
+///     rt::StreamingTracker::adopt) — the same columns, bit for bit, as
+///     the streaming path for every n (DESIGN.md §7);
 ///   * **multiplexed** — rt::Engine owns one Session per sensor and drives
 ///     the same push()/finish() path under its worker pool.
 ///
@@ -119,16 +119,15 @@ class Session {
   /// image is built column-parallel (par::ParallelImageBuilder over
   /// `par.num_threads` workers) and adopted, then the downstream stages
   /// run once over the finished image — so CountEvent/TracksEvent/
-  /// BitsEvent arrive once (after all columns) instead of once per chunk,
-  /// and the column values come from the thread-count-invariant rebuild
-  /// path (~1e-9 from the sliding path; DESIGN.md §7). Requires a fresh
-  /// session (nothing pushed yet).
+  /// BitsEvent arrive once (after all columns) instead of once per chunk.
+  /// The columns are bit-identical to the streaming path's (DESIGN.md §7).
+  /// Requires a fresh session (nothing pushed yet).
   void run(CSpan trace, Parallelism parallel);
 
-  /// Batch execution with the historical thread-count convention of
-  /// core::MotionTracker::Config::num_threads: 1 runs the sequential
-  /// sliding path (run(trace)); any other value runs the column-parallel
-  /// offline mode (run(trace, Parallelism{num_threads}); 0 = all cores).
+  /// Batch execution with the thread-count convention of
+  /// core::MotionTracker::Config::num_threads: 1 runs the streaming path
+  /// (run(trace)); any other value runs the column-parallel offline mode
+  /// (run(trace, Parallelism{num_threads}); 0 = all cores).
   /// This is the single home of that mapping — track::track_trace and the
   /// sim trial runners route through here.
   void run(CSpan trace, int num_threads);

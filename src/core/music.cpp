@@ -8,79 +8,85 @@
 
 namespace wivi::core {
 
-// --------------------------------------------------- SlidingCorrelation ---
+namespace {
 
-SlidingCorrelation::SlidingCorrelation(int subarray, int window)
-    : wp_(subarray), w_(window), num_subarrays_(window - subarray + 1) {
-  WIVI_REQUIRE(subarray >= 2, "sub-array must have at least 2 elements");
-  WIVI_REQUIRE(window >= subarray, "window shorter than the smoothing sub-array");
-  // sum_ stays empty until the first rebuild(): every use is gated on
-  // valid_, and rebuild() reshapes (zero-fills) before accumulating, so an
-  // idle instance holds no w'^2 buffer.
-}
-
-void SlidingCorrelation::accumulate_outer(const cdouble* x, double sign) {
-  // Upper triangle of sign * x x^H; the lower triangle is implied.
-  const auto wp = static_cast<std::size_t>(wp_);
-  for (std::size_t i = 0; i < wp; ++i) {
-    const cdouble xi = sign * x[i];
-    cdouble* const row_i = sum_.row(i);
-    for (std::size_t j = i; j < wp; ++j) row_i[j] += xi * std::conj(x[j]);
+/// out[d..d+L) = sum_{s < S} h[s] h*[s+d+l] for l < L, each accumulated
+/// in s order in registers (h and out as (re, im) pairs).
+template <std::size_t L>
+void lag_sums(const double* h, std::size_t S, std::size_t d, double* out) {
+  double re[L] = {};
+  double im[L] = {};
+  for (std::size_t s = 0; s < S; ++s) {
+    const double ar = h[2 * s];
+    const double ai = h[2 * s + 1];
+    const double* const b = h + 2 * (s + d);
+    for (std::size_t l = 0; l < L; ++l) {
+      re[l] += ar * b[2 * l] + ai * b[2 * l + 1];
+      im[l] += ai * b[2 * l] - ar * b[2 * l + 1];
+    }
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    out[2 * (d + l)] = re[l];
+    out[2 * (d + l) + 1] = im[l];
   }
 }
 
-void SlidingCorrelation::rebuild(CSpan stream, std::size_t pos) {
-  WIVI_REQUIRE(pos + static_cast<std::size_t>(w_) <= stream.size(),
-               "window extends past the end of the stream");
-  sum_.reshape(static_cast<std::size_t>(wp_), static_cast<std::size_t>(wp_));
-  for (int s = 0; s < num_subarrays_; ++s)
-    accumulate_outer(stream.data() + pos + static_cast<std::size_t>(s), 1.0);
-  pos_ = pos;
-  valid_ = true;
-  updates_since_rebuild_ = 0;
+/// The one kernel for Eq. 5.2's un-normalised sub-array sum of a window h
+/// of w samples, upper triangle only:
+///   sum[i][j] = sum_{s < S} h[s+i] h*[s+j],   S = w - w' + 1.
+/// Shifting both indices by one drops sub-array 0's term and gains the
+/// term of the sub-array one past the last, so the sum has displacement
+/// structure (Kailath & Sayed, SIAM Review 1995):
+///   sum[i+1][j+1] = sum[i][j] - h[i] h*[j] + h[S+i] h*[S+j].
+/// Row 0 takes w' dot products of length S and the recurrence fills the
+/// rest of the triangle: ~3.2k complex multiply-adds at w = 100, w' = 32.
+/// The result is a function of the window's samples alone, which is what
+/// makes every image path agree bit for bit. The lower triangle is left
+/// as it was. Complex arithmetic is spelled out on (re, im) pairs, as in
+/// the scan.
+void subarray_sum(CSpan window, std::size_t wp, linalg::CMatrix& sum) {
+  WIVI_REQUIRE(window.size() >= wp,
+               "window shorter than the smoothing sub-array");
+  const std::size_t S = window.size() - wp + 1;
+  if (sum.rows() != wp || sum.cols() != wp) sum.reshape(wp, wp);
+  const auto* const h = reinterpret_cast<const double*>(window.data());
+
+  // Row 0: sum[0][d] = sum_s h[s] h*[s+d], four lags at a time.
+  auto* const row0 = reinterpret_cast<double*>(sum.row(0));
+  std::size_t d = 0;
+  for (; d + 4 <= wp; d += 4) lag_sums<4>(h, S, d, row0);
+  for (; d < wp; ++d) lag_sums<1>(h, S, d, row0);
+
+  // Rows 1..w'-1 from the row above. The lost term goes first: at S = 1
+  // it cancels the entry above exactly.
+  for (std::size_t i = 1; i < wp; ++i) {
+    const auto* const up = reinterpret_cast<const double*>(sum.row(i - 1));
+    auto* const row = reinterpret_cast<double*>(sum.row(i));
+    const double lr = h[2 * (i - 1)];          // lost: h[i-1]
+    const double li = h[2 * (i - 1) + 1];
+    const double gr = h[2 * (S + i - 1)];      // gained: h[S+i-1]
+    const double gi = h[2 * (S + i - 1) + 1];
+    const double* const l = h;                 // h*[j-1] at l[2(j-1)]
+    const double* const g = h + 2 * S;         // h*[S+j-1] at g[2(j-1)]
+    for (std::size_t j = i; j < wp; ++j) {
+      const std::size_t x = 2 * (j - 1);
+      row[2 * j] = (up[x] - (lr * l[x] + li * l[x + 1])) +
+                   (gr * g[x] + gi * g[x + 1]);
+      row[2 * j + 1] = (up[x + 1] - (li * l[x] - lr * l[x + 1])) +
+                       (gi * g[x] - gr * g[x + 1]);
+    }
+  }
 }
 
-void SlidingCorrelation::advance_to(CSpan stream, std::size_t pos) {
-  WIVI_REQUIRE(pos + static_cast<std::size_t>(w_) <= stream.size(),
-               "window extends past the end of the stream");
-  WIVI_REQUIRE(!valid_ || pos >= pos_, "SlidingCorrelation only slides forward");
-  if (!valid_) {
-    rebuild(stream, pos);
-    return;
-  }
-  const std::size_t delta = pos - pos_;
-  // Each slid sample costs one subtract + one add (2 rank-one updates); a
-  // rebuild costs S of them. Also re-anchor periodically: the subtract/add
-  // chain accumulates rounding at ~eps per update, so a cheap occasional
-  // rebuild keeps the streaming path within ~1e-12 of the direct one.
-  if (2 * delta >= static_cast<std::size_t>(num_subarrays_) ||
-      updates_since_rebuild_ + 2 * static_cast<long>(delta) > kRebuildEvery) {
-    rebuild(stream, pos);
-    return;
-  }
-  const auto S = static_cast<std::size_t>(num_subarrays_);
-  for (std::size_t p = pos_; p < pos; ++p) {
-    accumulate_outer(stream.data() + p, -1.0);      // drop sub-array at p
-    accumulate_outer(stream.data() + p + S, 1.0);   // gain sub-array at p + S
-  }
-  pos_ = pos;
-  updates_since_rebuild_ += 2 * static_cast<long>(delta);
-}
-
-void SlidingCorrelation::rebase(std::size_t drop) {
-  if (drop == 0) return;
-  WIVI_REQUIRE(valid_, "rebase() before the first window");
-  WIVI_REQUIRE(drop <= pos_, "cannot rebase past the current window start");
-  pos_ -= drop;
-}
-
-void SlidingCorrelation::correlation_into(linalg::CMatrix& r) const {
-  WIVI_REQUIRE(valid_, "SlidingCorrelation has no window yet");
-  const auto wp = static_cast<std::size_t>(wp_);
+/// r = sum / S with the lower triangle mirrored from sum's upper one.
+/// `sum` and `r` may be the same matrix.
+void normalise_hermitian(const linalg::CMatrix& sum, std::size_t num_subarrays,
+                         linalg::CMatrix& r) {
+  const std::size_t wp = sum.rows();
   if (r.rows() != wp || r.cols() != wp) r.reshape(wp, wp);
-  const double inv = 1.0 / static_cast<double>(num_subarrays_);
+  const double inv = 1.0 / static_cast<double>(num_subarrays);
   for (std::size_t i = 0; i < wp; ++i) {
-    const cdouble* const src_i = sum_.row(i);
+    const cdouble* const src_i = sum.row(i);
     cdouble* const dst_i = r.row(i);
     dst_i[i] = src_i[i] * inv;
     for (std::size_t j = i + 1; j < wp; ++j) {
@@ -89,6 +95,31 @@ void SlidingCorrelation::correlation_into(linalg::CMatrix& r) const {
       r(j, i) = std::conj(v);
     }
   }
+}
+
+}  // namespace
+
+// --------------------------------------------------- SlidingCorrelation ---
+
+SlidingCorrelation::SlidingCorrelation(int subarray, int window)
+    : wp_(subarray), w_(window) {
+  WIVI_REQUIRE(subarray >= 2, "sub-array must have at least 2 elements");
+  WIVI_REQUIRE(window >= subarray, "window shorter than the smoothing sub-array");
+  // sum_ stays empty until the first rebuild(), so an idle instance holds
+  // no w'^2 buffer.
+}
+
+void SlidingCorrelation::rebuild(CSpan stream, std::size_t pos) {
+  const auto w = static_cast<std::size_t>(w_);
+  WIVI_REQUIRE(pos + w <= stream.size(),
+               "window extends past the end of the stream");
+  subarray_sum(stream.subspan(pos, w), static_cast<std::size_t>(wp_), sum_);
+  valid_ = true;
+}
+
+void SlidingCorrelation::correlation_into(linalg::CMatrix& r) const {
+  WIVI_REQUIRE(valid_, "SlidingCorrelation has no window yet");
+  normalise_hermitian(sum_, static_cast<std::size_t>(w_ - wp_ + 1), r);
 }
 
 // -------------------------------------------------------- SmoothedMusic ---
@@ -115,29 +146,8 @@ linalg::CMatrix SmoothedMusic::smoothed_correlation(CSpan window) const {
 void SmoothedMusic::smoothed_correlation_into(CSpan window,
                                               linalg::CMatrix& r) const {
   const auto wp = static_cast<std::size_t>(cfg_.subarray);
-  WIVI_REQUIRE(window.size() >= wp,
-               "window shorter than the smoothing sub-array");
-  const std::size_t num_subarrays = window.size() - wp + 1;
-  r.reshape(wp, wp);
-  for (std::size_t s = 0; s < num_subarrays; ++s) {
-    // Accumulate the rank-one term sub * sub^H without materialising it;
-    // only the upper triangle — the lower is its conjugate mirror.
-    const cdouble* const sub = window.data() + s;
-    for (std::size_t i = 0; i < wp; ++i) {
-      const cdouble si = sub[i];
-      cdouble* const row_i = r.row(i);
-      for (std::size_t j = i; j < wp; ++j) row_i[j] += si * std::conj(sub[j]);
-    }
-  }
-  const double inv = 1.0 / static_cast<double>(num_subarrays);
-  for (std::size_t i = 0; i < wp; ++i) {
-    cdouble* const row_i = r.row(i);
-    row_i[i] *= inv;
-    for (std::size_t j = i + 1; j < wp; ++j) {
-      row_i[j] *= inv;
-      r(j, i) = std::conj(row_i[j]);
-    }
-  }
+  subarray_sum(window, wp, r);
+  normalise_hermitian(r, window.size() - wp + 1, r);
 }
 
 int SmoothedMusic::estimate_model_order(RSpan eigenvalues) const {

@@ -18,9 +18,10 @@
 /// over whole traces (§7.1: ~1 s of post-processing per 25 s trace), so the
 /// implementation is built around reuse: a unit-norm steering-matrix cache
 /// shared across calls, an eigensolver that back-transforms only the
-/// signal eigenvectors into contiguous rows, per-thread workspaces, and an
-/// incremental (rank-one add/subtract) sliding-window correlation for
-/// streaming use.
+/// signal eigenvectors into contiguous rows, and per-thread workspaces.
+/// The smoothed correlation itself has one kernel, which exploits the
+/// sum's displacement structure and reads only the window it is given, so
+/// batch, streaming and parallel image columns agree bit for bit.
 #pragma once
 
 #include "src/core/isar.hpp"
@@ -46,63 +47,34 @@ struct MusicConfig {
   double signal_threshold_db = 12.0;
 };
 
-/// Streaming maintenance of the Eq. 5.2 smoothed-correlation sub-array sum
-/// for a w-sample window sliding along a channel-estimate stream. Moving
-/// the window by one sample drops exactly one sub-array and gains exactly
-/// one, so the sum is updated with a rank-one subtract + add (O(w'^2))
-/// instead of the full O(S * w'^2) rebuild; advance_to() falls back to a
-/// rebuild when the slide distance makes that cheaper, and re-anchors
-/// periodically to bound floating-point drift.
+/// The Eq. 5.2 smoothed correlation of a w-sample window at an offset
+/// into a channel-estimate stream. Every position is computed from that
+/// window alone by the displacement kernel that also serves
+/// SmoothedMusic::smoothed_correlation_into(), so positions may be visited
+/// in any order and the result never depends on which were visited
+/// before: rebuild() and advance_to() are the same operation.
 class SlidingCorrelation {
  public:
   /// Set up for sub-arrays of length `subarray` inside a sliding window of
   /// `window` samples (no stream attached yet).
   SlidingCorrelation(int subarray, int window);
 
-  /// Full rebuild of the sub-array sum for the window at stream offset
-  /// `pos` (covers stream[pos, pos + window)).
+  /// Compute the sub-array sum of the window at stream offset `pos`
+  /// (covers stream[pos, pos + window)).
   void rebuild(CSpan stream, std::size_t pos);
 
-  /// Move the window to offset `pos` (>= the current position) with
-  /// incremental updates. The first call behaves like rebuild().
-  void advance_to(CSpan stream, std::size_t pos);
-
-  /// Relabel the stream origin: the caller dropped `drop` samples from the
-  /// front of its buffer, so all future advance_to() positions are smaller
-  /// by `drop`. Pure bookkeeping — no numeric state changes, which is what
-  /// lets a bounded-memory streaming consumer (rt::StreamingTracker) stay
-  /// bit-for-bit identical to a whole-trace pass. `drop` must not reach
-  /// past the current window start.
-  void rebase(std::size_t drop);
+  /// Move the window to offset `pos`, in either direction; the same
+  /// computation as rebuild().
+  void advance_to(CSpan stream, std::size_t pos) { rebuild(stream, pos); }
 
   /// Normalised smoothed correlation (w' x w', Hermitian) of the current
   /// window; reuses r's storage, no allocation on repeated calls.
   void correlation_into(linalg::CMatrix& r) const;
 
-  /// Stream offset of the current window start.
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-
-  /// Rank-one updates applied since the last full rebuild: advance_to()
-  /// re-anchors (rebuilds) before this would exceed kRebuildEvery, which
-  /// bounds the rounding drift of the subtract/add chain. Exposed so tests
-  /// can pin behaviour on both sides of the re-anchor boundary.
-  [[nodiscard]] long updates_since_rebuild() const noexcept {
-    return updates_since_rebuild_;
-  }
-
-  /// Re-anchor cadence: the update budget between full rebuilds (each slid
-  /// sample costs 2 updates, so this is ~2048 slid samples).
-  static constexpr long kRebuildEvery = 4096;
-
  private:
-  void accumulate_outer(const cdouble* x, double sign);
-
   int wp_;               // sub-array length w'
   int w_;                // window length
-  int num_subarrays_;    // S = w - w' + 1
-  std::size_t pos_ = 0;
   bool valid_ = false;
-  long updates_since_rebuild_ = 0;
   linalg::CMatrix sum_;  // upper triangle of the un-normalised sub-array sum
 };
 
@@ -150,7 +122,8 @@ class SmoothedMusic {
   /// matrices (w' x w').
   [[nodiscard]] linalg::CMatrix smoothed_correlation(CSpan window) const;
 
-  /// Same, into a caller-owned matrix (no allocation on repeated calls).
+  /// Same, into a caller-owned matrix (no allocation on repeated calls);
+  /// bit-identical to SlidingCorrelation on the same window.
   void smoothed_correlation_into(CSpan window, linalg::CMatrix& r) const;
 
   /// Number of signal eigenvectors given descending eigenvalues.

@@ -52,12 +52,11 @@ class MotionTracker {
     int hop = 25;
     /// Angle grid step in degrees (paper sums theta over [-90, 90]).
     double angle_step_deg = 1.0;
-    /// Worker threads for process(). 1 (default) keeps the sequential
-    /// rank-one sliding path — bit-exact with rt::StreamingTracker. Any
-    /// other value routes through par::ParallelImageBuilder, which shards
-    /// columns over a pool (0 = hardware concurrency): output is then
-    /// bit-identical for every thread count, but only ~1e-9-close to the
-    /// sliding path (different rounding chains; see DESIGN.md §7).
+    /// Worker threads for process(), which shards columns over a
+    /// par::ParallelImageBuilder pool (0 = hardware concurrency; 1, the
+    /// default, runs inline). Each column is computed from its own window,
+    /// so the image is bit-identical for every value and to
+    /// rt::StreamingTracker (DESIGN.md §7).
     int num_threads = 1;
   };
 

@@ -31,7 +31,7 @@ namespace wivi::obs {
 enum class Stage : int {
   kIngress = 0,  ///< Offer-to-pop wait in the engine ring (engine only).
   kGuard,        ///< Input validation / sanitization.
-  kStft,         ///< Sliding correlation advance (STFT/Doppler window).
+  kStft,         ///< One column's smoothed correlation ("stft_doppler").
   kMusic,        ///< MUSIC pseudospectrum for one emitted column.
   kDetect,       ///< Motion counting / association / gesture decoding.
   kEmit,         ///< Event delivery to the sink.

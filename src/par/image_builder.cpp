@@ -6,17 +6,13 @@
 
 namespace wivi::par {
 
-ParallelImageBuilder::Workspace::Workspace(const core::MusicConfig& mc)
-    : sliding(mc.subarray, mc.isar.window), music(mc) {}
-
 ParallelImageBuilder::ParallelImageBuilder(core::MotionTracker::Config cfg,
                                            int num_threads)
     : cfg_(cfg), pool_(num_threads) {
   WIVI_REQUIRE(cfg_.hop >= 1, "hop must be >= 1");
   WIVI_REQUIRE(cfg_.angle_step_deg > 0.0, "angle step must be positive");
-  workspaces_.reserve(static_cast<std::size_t>(pool_.num_threads()));
-  for (int w = 0; w < pool_.num_threads(); ++w)
-    workspaces_.push_back(std::make_unique<Workspace>(cfg_.music));
+  music_.assign(static_cast<std::size_t>(pool_.num_threads()),
+                core::SmoothedMusic(cfg_.music));
 }
 
 core::AngleTimeImage ParallelImageBuilder::build(CSpan h, double t0) const {
@@ -35,20 +31,13 @@ core::AngleTimeImage ParallelImageBuilder::build(CSpan h, double t0) const {
   const std::size_t num_blocks =
       (num_cols + kColumnsPerBlock - 1) / kColumnsPerBlock;
   pool_.parallel_for(num_blocks, [&](std::size_t block, int worker) {
-    Workspace& ws = *workspaces_[static_cast<std::size_t>(worker)];
-    const std::size_t c0 = block * kColumnsPerBlock;
-    const std::size_t c1 = std::min(c0 + kColumnsPerBlock, num_cols);
-    // Rebuild at the block start (blocks may land on any worker in any
-    // order), then slide within the block exactly like the sequential
-    // loop would over the same span.
-    ws.sliding.rebuild(h, c0 * hop);
-    for (std::size_t c = c0; c < c1; ++c) {
+    const core::SmoothedMusic& music = music_[static_cast<std::size_t>(worker)];
+    const std::size_t c1 = std::min((block + 1) * kColumnsPerBlock, num_cols);
+    for (std::size_t c = block * kColumnsPerBlock; c < c1; ++c) {
       const std::size_t n = c * hop;
-      if (c != c0) ws.sliding.advance_to(h, n);
-      ws.sliding.correlation_into(ws.r);
       int order = 0;
-      ws.music.pseudospectrum_from_correlation_into(ws.r, img.angles_deg,
-                                                    img.columns[c], &order);
+      music.pseudospectrum_into(h.subspan(n, w), img.angles_deg,
+                                img.columns[c], &order);
       img.model_orders[c] = order;
       img.times_sec[c] =
           t0 + (static_cast<double>(n) + static_cast<double>(w) / 2.0) * T;

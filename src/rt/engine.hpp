@@ -304,11 +304,10 @@ class Engine {
   /// column-parallel over this engine's thread count), delivering the same
   /// per-session event sequence a kBlock replay would — except that
   /// kCount/kTracks/kBits land once (after all columns) instead of once
-  /// per chunk, and the column values come from the builder's
-  /// thread-count-invariant rebuild path rather than the bit-exact
-  /// streaming slide (~1e-9 apart; see DESIGN.md §7). Blocks the calling
-  /// thread for the whole computation (events are delivered from it) and
-  /// returns the finished session's id; offer() on it is an error.
+  /// per chunk. The column values are bit-identical to the streaming
+  /// path's (DESIGN.md §7). Blocks the calling thread for the whole
+  /// computation (events are delivered from it) and returns the finished
+  /// session's id; offer() on it is an error.
   /// Thread-safe, and concurrent callers parallelise independently.
   SessionId run_recorded(api::PipelineSpec spec, CSpan trace);
 

@@ -10,10 +10,7 @@ namespace wivi::rt {
 // ------------------------------------------------------ StreamingTracker ---
 
 StreamingTracker::StreamingTracker(core::MotionTracker::Config cfg, double t0)
-    : cfg_(cfg),
-      t0_(t0),
-      music_(cfg.music),
-      sliding_(cfg.music.subarray, cfg.music.isar.window) {
+    : cfg_(cfg), t0_(t0), music_(cfg.music) {
   WIVI_REQUIRE(cfg_.hop >= 1, "hop must be >= 1");
   WIVI_REQUIRE(cfg_.angle_step_deg > 0.0, "angle step must be positive");
   // Both heavyweight artifacts resolve through the shared plan registry at
@@ -41,18 +38,18 @@ std::size_t StreamingTracker::push(CSpan chunk) {
   const auto hop = static_cast<std::size_t>(cfg_.hop);
   const double T = cfg_.music.isar.sample_period_sec;
 
-  // Emit every column whose window is now fully buffered. The per-column
-  // math is the batch MotionTracker::process() loop verbatim — same
-  // SlidingCorrelation advance sequence (rebase() only relabels offsets),
-  // same workspace reuse — which is what makes streaming == batch exact.
+  // Emit every column whose window is now fully buffered. Each column is
+  // computed from its own window by the same calls the batch builder makes
+  // (correlation kernel, then pseudospectrum), which is what makes
+  // streaming == batch exact.
   std::size_t emitted = 0;
   linalg::CMatrix& r = core::music_scratch().r;
   while (base_ + buf_.size() >= next_col_ * hop + w) {
     const std::size_t n = next_col_ * hop;  // absolute stream offset
+    WIVI_REQUIRE(n >= base_, "push() after release_stream()");
     {
       obs::ScopedSpan span(obs_, obs::Stage::kStft);
-      sliding_.advance_to(buf_, n - base_);
-      sliding_.correlation_into(r);
+      music_.smoothed_correlation_into(CSpan(buf_).subspan(n - base_, w), r);
     }
     img_.columns.emplace_back();
     int order = 0;
@@ -96,13 +93,10 @@ void StreamingTracker::adopt(CSpan stream, core::AngleTimeImage&& img) {
   img_ = std::move(img);
   next_col_ = expect_cols;
   // Keep exactly the tail a future column could still need (everything
-  // from the next window start on); sliding state starts fresh, so the
-  // next advance rebuilds — the same numerics as any re-anchor.
+  // from the next window start on).
   base_ = std::min(next_col_ * hop, stream.size());
   buf_.assign(stream.begin() + static_cast<std::ptrdiff_t>(base_),
               stream.end());
-  sliding_ = core::SlidingCorrelation(cfg_.music.subarray,
-                                      cfg_.music.isar.window);
 }
 
 void StreamingTracker::set_angle_decimation(int factor) {
@@ -153,19 +147,18 @@ core::AngleTimeImage StreamingTracker::take_image() {
 void StreamingTracker::release_stream() {
   base_ += buf_.size();
   CVec().swap(buf_);
-  sliding_ = core::SlidingCorrelation(cfg_.music.subarray, cfg_.music.isar.window);
 }
 
 void StreamingTracker::compact() {
-  // The incremental advance still reads from the *previous* window start
-  // (= sliding_.position()), so that is the earliest sample we must keep.
-  // Compact in big steps: the front-erase is O(kept), so amortise it.
+  // A column reads only its own window, so nothing before the next window
+  // start is read again. Compact in big steps: the front-erase is
+  // O(kept), so amortise it.
   constexpr std::size_t kCompactThreshold = 4096;
-  const std::size_t drop = sliding_.position();
+  const std::size_t next = next_col_ * static_cast<std::size_t>(cfg_.hop);
+  const std::size_t drop = std::min(next - base_, buf_.size());
   if (drop < kCompactThreshold) return;
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(drop));
   base_ += drop;
-  sliding_.rebase(drop);
 }
 
 // ------------------------------------------------------ StreamingGesture ---

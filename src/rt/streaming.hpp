@@ -56,8 +56,7 @@ class StreamingTracker {
   /// InvalidArgument. Afterwards the tracker reads as if `stream` had been
   /// pushed: samples_seen(), num_columns() and image() all line up, and
   /// further push() calls continue the stream (the window tail is
-  /// retained) — though columns appended later come from a fresh
-  /// correlation rebuild, like any post-compaction column.
+  /// retained).
   void adopt(CSpan stream, core::AngleTimeImage&& img);
 
   /// Columns produced so far; grows by push(). Identical to
@@ -74,8 +73,8 @@ class StreamingTracker {
   /// only call this once no further push() will follow.
   [[nodiscard]] core::AngleTimeImage take_image();
 
-  /// Free the buffered stream tail and the sliding correlation — what
-  /// only further push() calls would read. samples_seen(), num_columns()
+  /// Free the buffered stream tail — what only further push() calls
+  /// would read. samples_seen(), num_columns()
   /// and image() are unchanged; only call this once no further push()
   /// will follow (wivi::Session::finish() does).
   void release_stream();
@@ -117,8 +116,8 @@ class StreamingTracker {
   void reset(double t0 = 0.0);
 
   /// Attach a per-stage latency observer (wivi::obs): the push() loop
-  /// records one `stft_doppler` span (sliding-correlation advance) and one
-  /// `music` span (pseudospectrum scan) per emitted column. nullptr
+  /// records one `stft_doppler` span (the window's smoothed correlation)
+  /// and one `music` span (pseudospectrum) per emitted column. nullptr
   /// detaches. The observer must outlive the tracker and is *not* owned;
   /// it survives reset().
   void set_observer(obs::PipelineObserver* observer) noexcept {
@@ -132,7 +131,6 @@ class StreamingTracker {
   core::MotionTracker::Config cfg_;
   double t0_ = 0.0;
   core::SmoothedMusic music_;
-  core::SlidingCorrelation sliding_;
   // Correlation scratch lives in the per-thread core::music_scratch();
   // the tracker's own state is just the buffered stream tail + image.
   CVec buf_;                     // buffered tail of the stream

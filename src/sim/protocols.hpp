@@ -28,8 +28,8 @@ struct CountingTrial {
   std::uint64_t seed = 1;
   /// Threads for the smoothed-MUSIC image build
   /// (core::MotionTracker::Config::num_threads semantics: 1 = sequential
-  /// sliding default; 0 / >1 = par::ParallelImageBuilder). Figure benches
-  /// opt in; tests keep the bit-stable sequential default.
+  /// default; 0 = all cores). The image is the same for every value;
+  /// figure benches opt in for the wall time.
   int image_threads = 1;
 };
 

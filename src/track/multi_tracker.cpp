@@ -230,9 +230,9 @@ TraceTrackResult track_trace(CSpan h,
                              const MultiTargetTracker::Config& cfg,
                              double t0) {
   // Built through the declarative facade: one spec, image + track stages.
-  // image_cfg.num_threads keeps its historical meaning by selecting the
-  // execution mode — 1 = sequential batch (the sliding path), anything
-  // else = the column-parallel offline mode (DESIGN.md §7).
+  // image_cfg.num_threads selects the execution mode — 1 = sequential
+  // batch, anything else = the column-parallel offline mode; both give
+  // the same image (DESIGN.md §7).
   api::PipelineSpec spec;
   spec.image.tracker = image_cfg;
   spec.image.emit_columns = false;  // the image is read back whole below

@@ -2,7 +2,11 @@
 // on synthetic channel streams with known ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "src/common/constants.hpp"
 #include "src/common/error.hpp"
@@ -11,6 +15,9 @@
 #include "src/core/music.hpp"
 #include "src/core/tracker.hpp"
 #include "src/dsp/peaks.hpp"
+#include "src/sim/evaluate.hpp"
+#include "src/sim/scenario.hpp"
+#include "tests/correlation_oracle.hpp"
 
 namespace wivi::core {
 namespace {
@@ -285,45 +292,102 @@ TEST(Tracker, RejectsTooShortStream) {
   EXPECT_THROW((void)tracker.process(CVec(50)), InvalidArgument);
 }
 
-TEST(SlidingCorrelation, StaysDirectAccurateAcrossReanchorBoundary) {
-  // The rank-one subtract/add chain re-anchors (full rebuild) once
-  // kRebuildEvery updates accumulate; the streaming result must stay
-  // within 1e-12 of the direct per-window computation on both sides of
-  // that boundary, and the update counter must actually reset there.
-  constexpr int kSubarray = 8;
-  constexpr int kWindow = 24;
-  constexpr std::size_t kHop = 3;  // 6 updates/step: incremental (S = 17)
-  Rng rng(77);
-  CVec h(static_cast<std::size_t>(kWindow) + kHop * 800);
-  for (auto& v : h) v = rng.complex_gaussian();
+// ------------------------------------------------ smoothed correlation ---
 
+/// A mover under a DC term 60 dB stronger (the nulling residual), plus
+/// weak noise: the dynamic range the correlation must not lose the mover
+/// in.
+CVec dc_dominated_stream(std::size_t n, Rng& rng) {
+  CVec h = synthetic_mover(0.4, n, IsarConfig{});
+  for (auto& v : h) v += cdouble{600.0, 800.0} + rng.complex_gaussian(1e-2);
+  return h;
+}
+
+bool same_bits(const linalg::CMatrix& a, const linalg::CMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(cdouble)) == 0;
+}
+
+/// Every window of `h` at hop `hop` through one SlidingCorrelation, each
+/// entry within 1e-15 ||R||_F of the long-double definition.
+void expect_oracle_accurate(CSpan h, int window, int subarray, std::size_t hop,
+                            const std::string& what) {
+  const auto w = static_cast<std::size_t>(window);
+  SlidingCorrelation sliding(subarray, window);
+  linalg::CMatrix r;
+  for (std::size_t pos = 0; pos + w <= h.size(); pos += hop) {
+    sliding.advance_to(h, pos);
+    sliding.correlation_into(r);
+    const oracle::LongCorrelation want = oracle::smoothed_correlation(
+        h.subspan(pos, w), static_cast<std::size_t>(subarray));
+    ASSERT_LE(oracle::max_error_over_frobenius(r, want), 1e-15)
+        << what << " (w, w') = (" << window << ", " << subarray
+        << ") pos=" << pos;
+  }
+}
+
+TEST(SmoothedCorrelation, KernelMatchesTheLongDoubleOracle) {
+  // The pipeline's shape, a small one, S = 1, w' = 2 and an odd one.
+  const std::pair<int, int> shapes[] = {
+      {100, 32}, {24, 8}, {32, 32}, {33, 2}, {101, 31}};
+  Rng rng(2026);
+  for (const auto& [w, wp] : shapes) {
+    const std::size_t n = static_cast<std::size_t>(w) + 60;
+    CVec gaussian(n);
+    for (auto& v : gaussian) v = rng.complex_gaussian();
+    expect_oracle_accurate(gaussian, w, wp, 3, "complex Gaussian");
+    expect_oracle_accurate(dc_dominated_stream(n, rng), w, wp, 3,
+                           "DC 60 dB over a mover");
+  }
+  // And every column of one world from each of four scenario families.
+  const MotionTracker::Config cfg;
+  const auto fams = sim::scenario_families();
+  for (const char* family : {"walker", "crossing", "count", "clutter"}) {
+    const auto it = std::find_if(fams.begin(), fams.end(),
+                                 [&](const auto& f) { return f.name == family; });
+    ASSERT_NE(it, fams.end()) << family;
+    ASSERT_FALSE(it->cases.empty()) << family;
+    const sim::ScenarioCase& c = it->cases.front();
+    expect_oracle_accurate(sim::generate_scenario(c.spec, c.seed).h,
+                           cfg.music.isar.window, cfg.music.subarray,
+                           static_cast<std::size_t>(cfg.hop), family);
+  }
+}
+
+TEST(SlidingCorrelation, AnyVisitOrderGivesTheSameBits) {
+  // A position's correlation has no history: forward, repeated and
+  // backward visits, and visits right after a rebuild() elsewhere, all
+  // give the bits of a fresh instance and of smoothed_correlation_into()
+  // on the same window.
+  constexpr int kWindow = 100;
+  constexpr int kSubarray = 32;
+  Rng rng(41);
+  CVec h(700);
+  for (auto& v : h) v = rng.complex_gaussian();
   MusicConfig mc;
   mc.subarray = kSubarray;
-  mc.max_sources = 4;  // validation: must leave noise eigenvectors at w'=8
   const SmoothedMusic music(mc);
-  SlidingCorrelation sliding(kSubarray, kWindow);
-  linalg::CMatrix r;
-  linalg::CMatrix ref;
 
-  bool saw_reanchor = false;
-  long prev_updates = 0;
-  for (std::size_t pos = 0;
-       pos + static_cast<std::size_t>(kWindow) <= h.size(); pos += kHop) {
-    sliding.advance_to(h, pos);
-    if (sliding.updates_since_rebuild() < prev_updates) saw_reanchor = true;
-    prev_updates = sliding.updates_since_rebuild();
-    ASSERT_LE(prev_updates, SlidingCorrelation::kRebuildEvery);
+  SlidingCorrelation driven(kSubarray, kWindow);
+  linalg::CMatrix got;
+  linalg::CMatrix fresh_r;
+  linalg::CMatrix direct;
+  const std::size_t visits[] = {0, 25, 50, 50, 75, 30, 0, 600, 575, 3, 3, 301};
+  for (std::size_t k = 0; k < std::size(visits); ++k) {
+    const std::size_t pos = visits[k];
+    if (k % 3 == 2) driven.rebuild(h, 600 - pos);
+    driven.advance_to(h, pos);
+    driven.correlation_into(got);
 
-    sliding.correlation_into(r);
+    SlidingCorrelation fresh(kSubarray, kWindow);
+    fresh.rebuild(h, pos);
+    fresh.correlation_into(fresh_r);
     music.smoothed_correlation_into(
-        CSpan(h).subspan(pos, static_cast<std::size_t>(kWindow)), ref);
-    for (std::size_t i = 0; i < ref.rows(); ++i)
-      for (std::size_t j = 0; j < ref.cols(); ++j)
-        ASSERT_NEAR(std::abs(r(i, j) - ref(i, j)), 0.0, 1e-12)
-            << "pos=" << pos << " (" << i << "," << j << ")";
+        CSpan(h).subspan(pos, static_cast<std::size_t>(kWindow)), direct);
+    EXPECT_TRUE(same_bits(got, fresh_r)) << "visit " << k << " pos=" << pos;
+    EXPECT_TRUE(same_bits(got, direct)) << "visit " << k << " pos=" << pos;
   }
-  // 800 steps x 6 updates = 4800 > kRebuildEvery: the boundary was crossed.
-  EXPECT_TRUE(saw_reanchor);
 }
 
 }  // namespace

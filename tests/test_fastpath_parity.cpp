@@ -16,7 +16,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "src/api/session.hpp"
 #include "src/common/db.hpp"
 #include "src/common/random.hpp"
 #include "src/core/doppler.hpp"
@@ -26,6 +30,7 @@
 #include "src/dsp/fft.hpp"
 #include "src/dsp/stats.hpp"
 #include "src/dsp/window.hpp"
+#include "src/rt/engine.hpp"
 #include "src/sim/evaluate.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/sim/synthetic.hpp"
@@ -35,6 +40,11 @@ namespace wivi {
 namespace {
 
 constexpr double kParityTol = 1e-9;
+
+bool same_bits(const RVec& a, const RVec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 /// Relative bound on A'[theta] itself in the scenario sweep (observed
 /// worst case ~2e-10).
 constexpr double kPeakRelTol = 1e-8;
@@ -236,10 +246,12 @@ TEST(FastPathParity, SlidingCorrelationMatchesDirectRebuild) {
     sliding.correlation_into(r);
     const linalg::CMatrix ref = music.smoothed_correlation(
         CSpan(h).subspan(pos, static_cast<std::size_t>(w)));
-    for (std::size_t i = 0; i < ref.rows(); ++i)
-      for (std::size_t j = 0; j < ref.cols(); ++j)
-        ASSERT_NEAR(std::abs(r(i, j) - ref(i, j)), 0.0, 1e-10)
-            << "pos=" << pos << " " << i << "," << j;
+    ASSERT_EQ(r.rows(), ref.rows());
+    ASSERT_EQ(r.cols(), ref.cols());
+    ASSERT_EQ(std::memcmp(r.data(), ref.data(),
+                          ref.rows() * ref.cols() * sizeof(cdouble)),
+              0)
+        << "pos=" << pos;
   }
 }
 
@@ -257,10 +269,74 @@ TEST(FastPathParity, TrackerStreamingMatchesPerWindowMusic) {
     int order = 0;
     const RVec direct =
         music.pseudospectrum(CSpan(h).subspan(n, w), angles, &order);
-    EXPECT_EQ(img.model_orders[c], order) << "column " << c;
-    for (std::size_t ai = 0; ai < angles.size(); ++ai)
-      ASSERT_NEAR(1.0 / img.columns[c][ai], 1.0 / direct[ai], kParityTol)
-          << "column " << c << " angle " << ai;
+    ASSERT_EQ(img.model_orders[c], order) << "column " << c;
+    ASSERT_TRUE(same_bits(img.columns[c], direct)) << "column " << c;
+  }
+}
+
+TEST(FastPathParity, EveryImagePathGivesTheSameBitsOnScenarioWorlds) {
+  // One world each from the walker, crossing, count and clutter families
+  // through every way the library builds an image. Each column is a
+  // function of its window alone, so all of them equal per-window MUSIC
+  // bit for bit, with the same model orders.
+  const api::PipelineSpec spec;
+  const core::MotionTracker::Config& cfg = spec.image.tracker;
+  const core::SmoothedMusic music(cfg.music);
+  const RVec angles = core::angle_grid_deg(cfg.angle_step_deg);
+  const auto w = static_cast<std::size_t>(cfg.music.isar.window);
+  const auto hop = static_cast<std::size_t>(cfg.hop);
+  rt::Engine::Config ec;
+  ec.num_threads = 3;
+  rt::Engine engine(ec);
+  for (const sim::ScenarioFamily& fam : sim::scenario_families()) {
+    if (fam.name != "walker" && fam.name != "crossing" && fam.name != "count" &&
+        fam.name != "clutter")
+      continue;
+    ASSERT_FALSE(fam.cases.empty()) << fam.name;
+    const sim::ScenarioCase& sc = fam.cases.front();
+    const CVec h = sim::generate_scenario(sc.spec, sc.seed).h;
+    const CSpan trace(h);
+
+    // Reference: per-window MUSIC.
+    std::vector<RVec> want;
+    std::vector<int> want_orders;
+    for (std::size_t pos = 0; pos + w <= h.size(); pos += hop) {
+      want.emplace_back();
+      int order = 0;
+      music.pseudospectrum_into(trace.subspan(pos, w), angles, want.back(),
+                                &order);
+      want_orders.push_back(order);
+    }
+    auto expect_same = [&](const core::AngleTimeImage& img,
+                           const std::string& path) {
+      ASSERT_EQ(img.num_times(), want.size()) << fam.name << " " << path;
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        ASSERT_EQ(img.model_orders[c], want_orders[c])
+            << fam.name << " " << path << " column " << c;
+        ASSERT_TRUE(same_bits(img.columns[c], want[c]))
+            << fam.name << " " << path << " column " << c;
+      }
+    };
+
+    api::Session hop_by_hop(spec);
+    for (std::size_t pos = 0; pos < h.size(); pos += hop)
+      (void)hop_by_hop.push(trace.subspan(pos, std::min(hop, h.size() - pos)));
+    hop_by_hop.finish();
+    expect_same(hop_by_hop.image(), "Session::push hop by hop");
+
+    api::Session batch(spec);
+    batch.run(trace);
+    expect_same(batch.image(), "Session::run(trace)");
+
+    for (const int n : {1, 2, 4, 8}) {
+      api::Session parallel(spec);
+      parallel.run(trace, api::Parallelism{n});
+      expect_same(parallel.image(),
+                  "Session::run(trace, Parallelism{" + std::to_string(n) + "})");
+    }
+
+    const rt::SessionId id = engine.run_recorded(spec, trace);
+    expect_same(engine.tracker(id).image(), "Engine::run_recorded");
   }
 }
 

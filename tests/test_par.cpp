@@ -2,16 +2,15 @@
 //
 // The load-bearing property is determinism: ParallelImageBuilder output
 // must be bit-identical (same doubles, same model orders) for every
-// thread count 1..8 and for repeated builds on one instance, because the
-// block partition is fixed and every workspace is numerically
-// history-independent. The sliding sequential path is a *different*
-// rounding chain, so against it we only assert the 1e-9 parity bound (on
-// the noise projection 1/A', same convention as test_fastpath_parity).
+// thread count 1..8, for repeated builds on one instance, and to the
+// sequential path, because every column is computed from its own window
+// and every workspace is numerically history-independent.
 // The pool stress tests here also run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -25,8 +24,6 @@
 
 namespace wivi {
 namespace {
-
-constexpr double kParityTol = 1e-9;
 
 CVec make_trace(std::size_t n) {
   return sim::synthetic_mover_trace(n, 404, 0.6);
@@ -152,13 +149,12 @@ TEST(ParallelImageBuilder, RepeatedBuildsOnOneInstanceAreIdentical) {
   expect_images_bit_identical(first, builder.build(h));
 }
 
-TEST(ParallelImageBuilder, MatchesSequentialSlidingPathAtParityTolerance) {
-  // Rebuild-per-block vs rank-one-slide are different rounding chains; the
-  // agreement contract is 1e-9 on the bounded noise projection 1/A'
-  // (the test_fastpath_parity convention), with identical model orders
-  // and identical (exactly computed) time stamps.
+TEST(ParallelImageBuilder, MatchesSequentialPathBitForBit) {
+  // Sequential and 4-thread builds compute each column from its own
+  // window with the same kernel: identical doubles, model orders and time
+  // stamps.
   const CVec h = make_trace(1500);
-  const core::MotionTracker tracker;  // num_threads = 1: sliding path
+  const core::MotionTracker tracker;  // num_threads = 1: runs inline
   const core::AngleTimeImage seq = tracker.process(h, 0.0);
   const core::AngleTimeImage p =
       par::ParallelImageBuilder(tracker.config(), 4).build(h, 0.0);
@@ -166,10 +162,11 @@ TEST(ParallelImageBuilder, MatchesSequentialSlidingPathAtParityTolerance) {
   ASSERT_EQ(seq.num_angles(), p.num_angles());
   for (std::size_t t = 0; t < seq.num_times(); ++t) {
     EXPECT_EQ(seq.times_sec[t], p.times_sec[t]);
-    EXPECT_EQ(seq.model_orders[t], p.model_orders[t]) << "column " << t;
-    for (std::size_t a = 0; a < seq.num_angles(); ++a)
-      ASSERT_NEAR(1.0 / seq.columns[t][a], 1.0 / p.columns[t][a], kParityTol)
-          << "column " << t << " angle " << a;
+    ASSERT_EQ(seq.model_orders[t], p.model_orders[t]) << "column " << t;
+    ASSERT_EQ(std::memcmp(seq.columns[t].data(), p.columns[t].data(),
+                          seq.num_angles() * sizeof(double)),
+              0)
+        << "column " << t;
   }
 }
 

@@ -1,10 +1,9 @@
 // Streaming-vs-batch parity: a trace fed through the rt streaming stages
 // in arbitrary chunk sizes must reproduce the batch results *bit for bit*
-// — same doubles, not just close ones. This holds because the streaming
-// path executes the identical arithmetic in the identical order (the
-// SlidingCorrelation advance sequence is position-relabelled, never
-// re-ordered), and it is the property the whole runtime's correctness
-// rests on.
+// — same doubles, not just close ones. This holds because every image
+// column is computed from its own window by the same calls on both paths,
+// whatever the chunking or buffer compaction, and it is the property the
+// whole runtime's correctness rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +25,8 @@ namespace wivi {
 namespace {
 
 // Traces come from sim::synthetic_mover_trace; the 6000-sample one is
-// long enough to cross StreamingTracker's compaction threshold so the
-// rebase path is covered too.
+// long enough to cross StreamingTracker's compaction threshold so
+// compaction is covered too.
 
 void expect_images_identical(const core::AngleTimeImage& batch,
                              const core::AngleTimeImage& streamed,
@@ -79,6 +78,18 @@ TEST(StreamingTracker, ResetStartsAFreshTrace) {
   streaming.push(h);
   const core::MotionTracker tracker;
   expect_images_identical(tracker.process(h, 1.0), streaming.image(), "reset");
+}
+
+TEST(StreamingTracker, PushAfterReleaseStreamThrows) {
+  // 130 samples complete columns 0 and 1 and leave 80 samples of the next
+  // window buffered; release_stream() frees them, so the window a further
+  // push() would complete is gone: a typed error, not an out-of-range read.
+  const CVec h = sim::synthetic_mover_trace(230);
+  rt::StreamingTracker streaming;
+  streaming.push(CSpan(h).first(130));
+  ASSERT_EQ(streaming.num_columns(), 2u);
+  streaming.release_stream();
+  EXPECT_THROW(streaming.push(CSpan(h).subspan(130)), InvalidArgument);
 }
 
 TEST(StreamingCounter, RunningVarianceMatchesBatch) {
