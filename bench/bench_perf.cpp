@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "src/common/random.hpp"
 #include "src/core/nulling.hpp"
@@ -15,7 +16,9 @@
 #include "src/dsp/fft.hpp"
 #include "src/linalg/eig.hpp"
 #include "src/par/image_builder.hpp"
+#include "src/sim/evaluate.hpp"
 #include "src/sim/link.hpp"
+#include "src/sim/scenario.hpp"
 #include "src/sim/synthetic.hpp"
 
 using namespace wivi;
@@ -54,6 +57,43 @@ void BM_HermitianEig(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HermitianEig)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_SignalSubspaceEig(benchmark::State& state) {
+  // The eigen step as MUSIC runs it per column: every eigenvalue, the
+  // model order, and only the k signal eigenvectors. Cycles over every
+  // column's correlation of one world from each of the walker, crossing,
+  // count and clutter families (388 columns, mean k ~3.5).
+  const core::MotionTracker::Config cfg;
+  const core::SmoothedMusic music(cfg.music);
+  const auto w = static_cast<std::size_t>(cfg.music.isar.window);
+  const auto hop = static_cast<std::size_t>(cfg.hop);
+  std::vector<linalg::CMatrix> corr;
+  for (const sim::ScenarioFamily& fam : sim::scenario_families()) {
+    if (fam.name != "walker" && fam.name != "crossing" && fam.name != "count" &&
+        fam.name != "clutter")
+      continue;
+    const sim::ScenarioCase& sc = fam.cases.front();
+    const CVec h = sim::generate_scenario(sc.spec, sc.seed).h;
+    for (std::size_t pos = 0; pos + w <= h.size(); pos += hop)
+      corr.push_back(music.smoothed_correlation(CSpan(h).subspan(pos, w)));
+  }
+  linalg::EigWorkspace ws;
+  CVec rows(static_cast<std::size_t>(cfg.music.max_sources * cfg.music.subarray));
+  std::size_t c = 0;
+  double orders = 0.0;
+  for (auto _ : state) {
+    const RSpan values = linalg::hermitian_eigenvalues(corr[c], ws);
+    const int k = music.estimate_model_order(values);
+    linalg::leading_eigenvectors(ws, static_cast<std::size_t>(k), rows);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+    orders += k;
+    c = c + 1 == corr.size() ? 0 : c + 1;
+  }
+  state.counters["mean_k"] = benchmark::Counter(
+      orders, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SignalSubspaceEig);
 
 void BM_SmoothedCorrelation(benchmark::State& state) {
   // One column's Eq. 5.2 correlation (w = 100, w' = 32) in streaming

@@ -220,37 +220,66 @@ void SmoothedMusic::pseudospectrum_from_correlation_into(
   // Complex arithmetic spelled out on (re, im) pairs: the same IEEE
   // operations as std::complex without its per-multiply NaN branch.
   const auto* const sig = reinterpret_cast<const double*>(ws.signal.data());
+
+  // The lag sums q_d = sum_i P[i][i+d] of the projector P = E_s E_s^H,
+  // accumulated signal vector by vector, row by row.
+  ws.lags.assign(2 * wp, 0.0);
+  double* const q = ws.lags.data();
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* const e = sig + 2 * j * wp;
+    for (std::size_t i = 0; i < wp; ++i) {
+      const double er = e[2 * i];
+      const double ei = e[2 * i + 1];
+      const double* const f = e + 2 * i;  // e[i + d] at f[2d]
+      for (std::size_t d = 0; d < wp - i; ++d) {  // q_d += e[i] e*[i+d]
+        q[2 * d] += er * f[2 * d] + ei * f[2 * d + 1];
+        q[2 * d + 1] += ei * f[2 * d] - er * f[2 * d + 1];
+      }
+    }
+  }
+  // ||E_s^H a||^2 = (q_0 + 2 Re sum_{d>=1} q_d e^{jd phi}) / w' with
+  // e^{jd phi} = sqrt(w') a_d, so proj = level - <t, a> over the real
+  // (re, im) pairs d >= 1, with t_d = (2 / sqrt(w')) (Re q_d, -Im q_d).
+  const double level = 1.0 - q[0] / static_cast<double>(wp);
+  const double scale = 2.0 / std::sqrt(static_cast<double>(wp));
+  for (std::size_t d = 1; d < wp; ++d) {
+    q[2 * d] *= scale;
+    q[2 * d + 1] *= -scale;
+  }
+
   auto* const c = reinterpret_cast<double*>(ws.coef.data());
   out.resize(angles_deg.size());
   for (std::size_t ai = 0; ai < angles_deg.size(); ++ai) {
     const auto* const a = reinterpret_cast<const double*>(steering_.row(ai));
-    // c = E_s^H a. Four partial sums per product break the serial add
-    // chain (the operands sit in L1; the chain latency is the bottleneck).
-    double c2 = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* const e = sig + 2 * j * wp;
-      double re[4] = {0.0, 0.0, 0.0, 0.0};
-      double im[4] = {0.0, 0.0, 0.0, 0.0};
-      std::size_t i = 0;
-      for (; i + 4 <= wp; i += 4)
-        for (std::size_t l = 0; l < 4; ++l) {
-          const std::size_t x = 2 * (i + l);
-          re[l] += e[x] * a[x] + e[x + 1] * a[x + 1];
-          im[l] += e[x] * a[x + 1] - e[x + 1] * a[x];
-        }
-      for (; i < wp; ++i) {
-        re[0] += e[2 * i] * a[2 * i] + e[2 * i + 1] * a[2 * i + 1];
-        im[0] += e[2 * i] * a[2 * i + 1] - e[2 * i + 1] * a[2 * i];
-      }
-      const double cr = (re[0] + re[1]) + (re[2] + re[3]);
-      const double ci = (im[0] + im[1]) + (im[2] + im[3]);
-      c[2 * j] = cr;
-      c[2 * j + 1] = ci;
-      c2 += cr * cr + ci * ci;
-    }
-    double proj = 1.0 - c2;
+    // Four partial sums break the serial add chain (the operands sit in
+    // L1; the chain latency is the bottleneck).
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t x = 2;
+    for (; x + 4 <= 2 * wp; x += 4)
+      for (std::size_t l = 0; l < 4; ++l) acc[l] += q[x + l] * a[x + l];
+    for (; x < 2 * wp; ++x) acc[0] += q[x] * a[x];
+    double proj = level - ((acc[0] + acc[1]) + (acc[2] + acc[3]));
     if (proj < kScanRecomputeBelow) {
-      // Near a peak: the residual a - E_s c directly, no cancellation.
+      // Near a peak: c = E_s^H a, then the residual a - E_s c directly,
+      // no cancellation.
+      for (std::size_t j = 0; j < k; ++j) {
+        const double* const e = sig + 2 * j * wp;
+        double re[4] = {0.0, 0.0, 0.0, 0.0};
+        double im[4] = {0.0, 0.0, 0.0, 0.0};
+        std::size_t i = 0;
+        for (; i + 4 <= wp; i += 4)
+          for (std::size_t l = 0; l < 4; ++l) {
+            const std::size_t y = 2 * (i + l);
+            re[l] += e[y] * a[y] + e[y + 1] * a[y + 1];
+            im[l] += e[y] * a[y + 1] - e[y + 1] * a[y];
+          }
+        for (; i < wp; ++i) {
+          re[0] += e[2 * i] * a[2 * i] + e[2 * i + 1] * a[2 * i + 1];
+          im[0] += e[2 * i] * a[2 * i + 1] - e[2 * i + 1] * a[2 * i];
+        }
+        c[2 * j] = (re[0] + re[1]) + (re[2] + re[3]);
+        c[2 * j + 1] = (im[0] + im[1]) + (im[2] + im[3]);
+      }
       proj = 0.0;
       for (std::size_t i = 0; i < wp; ++i) {
         double rr = a[2 * i];

@@ -20,9 +20,6 @@ constexpr int kMaxQlIterationsPerEigenvalue = 30;
 // IEEE operations as std::complex, without the NaN-recovery branch GCC
 // attaches to every complex multiply, which keeps them vectorisable.
 double* ri(cdouble* p) noexcept { return reinterpret_cast<double*>(p); }
-const double* ri(const cdouble* p) noexcept {
-  return reinterpret_cast<const double*>(p);
-}
 
 /// Check squareness and Hermitian symmetry, and copy the upper triangle
 /// of `a_in` (diagonal forced real, tiny defects averaged away) into the
@@ -166,8 +163,9 @@ void tridiagonalize(EigWorkspace& ws) {
 }
 
 /// Implicit-shift QL on the symmetric tridiagonal (ws.diag, ws.off),
-/// accumulating its eigenvectors transposed into ws.zt (row j = vector
-/// j). On return ws.diag holds the unsorted eigenvalues.
+/// logging every Givens pair into ws.givens and every sweep into
+/// ws.sweeps for replay_rotations(). On return ws.diag holds the unsorted
+/// eigenvalues.
 ///
 /// A coupling is negligible once it is below eps * ||T|| (EISPACK tql2's
 /// test, with the norm taken over the whole matrix). The reduction has
@@ -180,14 +178,19 @@ void tridiagonal_ql(EigWorkspace& ws) {
   const std::size_t n = ws.diag.size();
   double* const d = ws.diag.data();
   double* const e = ws.off.data();  // e[i] couples i and i+1; e[n-1] = 0
-  ws.zt.assign(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) ws.zt[i * n + i] = 1.0;
   double norm = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     norm = std::max(norm, std::abs(d[i]) + std::abs(e[i]));
   const double negligible = std::numeric_limits<double>::epsilon() * norm;
 
   std::size_t budget = kMaxQlIterationsPerEigenvalue * n;
+  // The log's worst case is every budgeted sweep chasing a bulge across
+  // the whole matrix. Reserved once per size, so no input can make a
+  // warm workspace allocate.
+  ws.sweeps.reserve(budget);
+  ws.givens.reserve(2 * budget * (n - 1));
+  ws.sweeps.clear();
+  ws.givens.clear();
   for (std::size_t l = 0; l < n; ++l) {
     for (;;) {
       // Smallest m >= l whose coupling to m+1 is negligible.
@@ -206,6 +209,8 @@ void tridiagonal_ql(EigWorkspace& ws) {
       double c = 1.0;
       double p = 0.0;
       bool deflated = false;
+      QlSweep& sweep = ws.sweeps.emplace_back();
+      sweep.top = m;
       for (std::size_t i = m; i-- > l;) {
         const double f = s * e[i];
         const double b = c * e[i];
@@ -224,13 +229,9 @@ void tridiagonal_ql(EigWorkspace& ws) {
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        double* const zi = ws.zt.data() + i * n;
-        double* const zi1 = zi + n;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double t = zi1[k];
-          zi1[k] = s * zi[k] + c * t;
-          zi[k] = c * zi[k] - s * t;
-        }
+        ws.givens.push_back(c);
+        ws.givens.push_back(s);
+        ++sweep.count;
       }
       if (deflated) continue;
       d[l] -= p;
@@ -239,6 +240,46 @@ void tridiagonal_ql(EigWorkspace& ws) {
     }
   }
 }
+
+/// z = G_1 G_2 ... G_N x for B vectors stored interleaved, x[i B + b] =
+/// entry i of vector b, where G_t is QL's t-th logged rotation, acting on
+/// (i, i + 1) as [c s; -s c]: the log is read backwards, G_N first. A
+/// sweep's rotations chain down one index at a time, so replayed in
+/// reverse they walk up, and the entry each one passes on to the next
+/// stays in a register. Lane b sees the same operations whatever B is,
+/// which keeps leading_eigenvectors() rows independent of k.
+template <std::size_t B>
+void replay_rotations(const EigWorkspace& ws, double* x) {
+  const double* cs = ws.givens.data() + ws.givens.size();
+  for (auto sweep = ws.sweeps.rbegin(); sweep != ws.sweeps.rend(); ++sweep) {
+    const std::size_t lo = sweep->top - sweep->count;
+    double carry[B];  // entry i of each vector, mid-update
+    for (std::size_t b = 0; b < B; ++b) carry[b] = x[lo * B + b];
+    for (std::size_t i = lo; i < sweep->top; ++i) {
+      cs -= 2;
+      const double c = cs[0];
+      const double s = cs[1];
+      double* const xi = x + i * B;
+      for (std::size_t b = 0; b < B; ++b) {
+        const double next = xi[B + b];
+        xi[b] = c * carry[b] + s * next;
+        carry[b] = c * next - s * carry[b];
+      }
+    }
+    for (std::size_t b = 0; b < B; ++b) x[sweep->top * B + b] = carry[b];
+  }
+}
+
+/// Vectors replayed together: eight independent carries keep both
+/// floating-point ports busy (a lone carry waits on a multiply and a
+/// subtract per rotation) and still fit in registers.
+constexpr std::size_t kReplayBlock = 8;
+using ReplayFn = void (*)(const EigWorkspace&, double*);
+constexpr ReplayFn kReplay[kReplayBlock + 1] = {
+    nullptr,
+    replay_rotations<1>, replay_rotations<2>, replay_rotations<3>,
+    replay_rotations<4>, replay_rotations<5>, replay_rotations<6>,
+    replay_rotations<7>, replay_rotations<8>};
 
 }  // namespace
 
@@ -261,32 +302,39 @@ RSpan hermitian_eigenvalues(const CMatrix& a_in, EigWorkspace& ws) {
   return ws.values;
 }
 
-void leading_eigenvectors(const EigWorkspace& ws, std::size_t k,
+void leading_eigenvectors(EigWorkspace& ws, std::size_t k,
                           std::span<cdouble> out) {
   const std::size_t n = ws.values.size();
   WIVI_REQUIRE(k <= n, "more eigenvectors requested than the matrix has");
   WIVI_REQUIRE(out.size() >= k * n, "eigenvector buffer too small");
-  for (std::size_t j = 0; j < k; ++j) {
-    const double* const z = ws.zt.data() + ws.order[j] * n;
-    cdouble* const v = out.data() + j * n;
-    for (std::size_t i = 0; i < n; ++i) v[i] = ws.phase[i] * z[i];
-    // v = H_0 H_1 ... H_{n-2} D z: the last reflector applies first.
-    for (std::size_t p = n - 1; p-- > 0;) {
-      if (ws.h[p] == 0.0) continue;
-      const std::size_t m = n - p - 1;
-      const double* const u = ri(ws.a.row(p) + p + 1);
-      double* const x = ri(v + p + 1);
-      double s_re = 0.0;
-      double s_im = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {  // s = u^H x
-        s_re += u[2 * i] * x[2 * i] + u[2 * i + 1] * x[2 * i + 1];
-        s_im += u[2 * i] * x[2 * i + 1] - u[2 * i + 1] * x[2 * i];
-      }
-      const double f_re = s_re / ws.h[p];
-      const double f_im = s_im / ws.h[p];
-      for (std::size_t i = 0; i < m; ++i) {  // x -= (s / h) u
-        x[2 * i] -= f_re * u[2 * i] - f_im * u[2 * i + 1];
-        x[2 * i + 1] -= f_re * u[2 * i + 1] + f_im * u[2 * i];
+  ws.replay.resize(kReplayBlock * n);
+  double* const x = ws.replay.data();
+  for (std::size_t j0 = 0; j0 < k; j0 += kReplayBlock) {
+    const std::size_t block = std::min(kReplayBlock, k - j0);
+    std::fill(x, x + block * n, 0.0);
+    for (std::size_t b = 0; b < block; ++b) x[ws.order[j0 + b] * block + b] = 1.0;
+    kReplay[block](ws, x);
+    for (std::size_t b = 0; b < block; ++b) {
+      cdouble* const v = out.data() + (j0 + b) * n;
+      for (std::size_t i = 0; i < n; ++i) v[i] = ws.phase[i] * x[i * block + b];
+      // v = H_0 H_1 ... H_{n-2} D z: the last reflector applies first.
+      for (std::size_t p = n - 1; p-- > 0;) {
+        if (ws.h[p] == 0.0) continue;
+        const std::size_t m = n - p - 1;
+        const double* const u = ri(ws.a.row(p) + p + 1);
+        double* const y = ri(v + p + 1);
+        double s_re = 0.0;
+        double s_im = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {  // s = u^H y
+          s_re += u[2 * i] * y[2 * i] + u[2 * i + 1] * y[2 * i + 1];
+          s_im += u[2 * i] * y[2 * i + 1] - u[2 * i + 1] * y[2 * i];
+        }
+        const double f_re = s_re / ws.h[p];
+        const double f_im = s_im / ws.h[p];
+        for (std::size_t i = 0; i < m; ++i) {  // y -= (s / h) u
+          y[2 * i] -= f_re * u[2 * i] - f_im * u[2 * i + 1];
+          y[2 * i + 1] -= f_re * u[2 * i + 1] + f_im * u[2 * i];
+        }
       }
     }
   }

@@ -8,13 +8,18 @@
 //   1. hermitian_eigenvalues() reduces A = Q T_c Q^H with Householder
 //      reflectors (T_c Hermitian tridiagonal), scales T_c = D T D^H with a
 //      unitary diagonal D so that T is real symmetric with non-negative
-//      off-diagonals, and runs implicit-shift QL on T for every eigenvalue
-//      while accumulating T's (real) eigenvectors;
-//   2. leading_eigenvectors() back-transforms v = Q D z only for the
-//      eigenvectors asked for.
+//      off-diagonals, and runs implicit-shift QL on T for every eigenvalue.
+//      QL does not accumulate T's eigenvectors; it logs each Givens pair
+//      it applies, so T = Z diag(lambda) Z^T with Z = G_1 G_2 ... G_N.
+//   2. leading_eigenvectors() forms z_j = Z e_j only for the eigenvectors
+//      asked for, by replaying the log backwards onto the unit vector e_j
+//      (G_N first), and back-transforms v = Q D z.
 // hermitian_eig_into() is both steps with every vector. The reduction
-// costs ~(16/3) n^3 real flops, QL with accumulation ~3 n^3 and each
-// back-transformed vector ~8 n^2. All in plain double arithmetic; no
+// costs ~(16/3) n^3 real flops; values-only QL ~20 flops, a square root
+// and two divides per rotation (N rotations, ~n^2: ~1.1k on a MUSIC
+// correlation at n = 32); each requested vector 6N flops of replay plus
+// ~8 n^2 of back-transform. Forming all n vectors costs what accumulating
+// Z would (~6 n N); MUSIC forms k ~ 4. All in plain double arithmetic; no
 // external BLAS/LAPACK dependency.
 #pragma once
 
@@ -32,6 +37,15 @@ struct EigResult {
   CMatrix vectors;
 };
 
+/// One QL sweep in the rotation log: it applied `count` Givens rotations
+/// to the index pairs (top - 1, top), (top - 2, top - 1), ... in that
+/// order. `count` is the bulge chase's length, or fewer when an underflow
+/// split the matrix mid-sweep.
+struct QlSweep {
+  std::size_t top = 0;
+  std::size_t count = 0;
+};
+
 /// Reusable scratch for the solver. Holding one of these across calls
 /// (MUSIC runs one decomposition per image column) makes repeated
 /// same-size decompositions allocation-free. Every buffer is overwritten
@@ -44,7 +58,16 @@ struct EigWorkspace {
   CVec work;     ///< Reduction scratch (B u / h, then the rank-2 vector).
   RVec diag;     ///< Tridiagonal diagonal, then its unsorted eigenvalues.
   RVec off;      ///< Tridiagonal off-diagonal (QL scratch).
-  RVec zt;       ///< T's eigenvectors, transposed: row j = vector j.
+  /// QL's Givens pairs (c, s), interleaved, in the order applied. Cleared
+  /// per call; its capacity is reserved once per size for the iteration
+  /// budget's worst case (30 n sweeps of n - 1 rotations: ~0.5 MB of
+  /// address space at n = 32, of which a typical column writes ~18 KB),
+  /// so no input makes a warm workspace allocate.
+  RVec givens;
+  std::vector<QlSweep> sweeps;     ///< QL's sweeps, in order (same budget).
+  /// leading_eigenvectors() scratch: up to 8 vectors being replayed,
+  /// interleaved (entry i of vector b at i * block + b).
+  RVec replay;
   std::vector<std::size_t> order;  ///< Descending sort permutation.
   RVec values;   ///< Eigenvalues sorted in descending order.
 };
@@ -56,12 +79,14 @@ struct EigWorkspace {
 /// exhausts its iteration cap (never observed for genuine Hermitian input).
 RSpan hermitian_eigenvalues(const CMatrix& a, EigWorkspace& ws);
 
-/// Back-transform the eigenvectors of the `k` largest eigenvalues of the
-/// matrix last passed to hermitian_eigenvalues(ws): eigenvector j (for
-/// values[j]) is written as the contiguous row out[j*n, (j+1)*n). `out`
-/// must hold at least k*n elements and k <= n. The rows equal the first k
-/// columns of hermitian_eig_into()'s vectors bit for bit.
-void leading_eigenvectors(const EigWorkspace& ws, std::size_t k,
+/// The eigenvectors of the `k` largest eigenvalues of the matrix last
+/// passed to hermitian_eigenvalues(ws): eigenvector j (for values[j]) is
+/// written as the contiguous row out[j*n, (j+1)*n). `out` must hold at
+/// least k*n elements and k <= n. Only ws.replay is written (scratch),
+/// so calls with different k on one decomposition agree. Each vector's
+/// arithmetic does not depend on k, so the rows equal the first k columns
+/// of hermitian_eig_into()'s vectors bit for bit.
+void leading_eigenvectors(EigWorkspace& ws, std::size_t k,
                           std::span<cdouble> out);
 
 /// Full eigendecomposition (hermitian_eigenvalues + every eigenvector).

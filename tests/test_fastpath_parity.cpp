@@ -219,19 +219,66 @@ TEST(FastPathParity, SmoothedCorrelationMatchesLegacy) {
           << i << "," << j;
 }
 
+/// A w-sample window of `sources` equal-power movers at distinct
+/// steering phase steps spread over (-pi, pi), a DC residual and noise:
+/// a smoothed correlation with `sources` + 1 signal eigenvalues.
+CVec multi_source_window(std::size_t w, int sources, std::uint64_t seed) {
+  Rng rng(seed);
+  CVec h(w, cdouble{0.6, -0.2});
+  for (int s = 0; s < sources; ++s) {
+    const double step = kPi * (2.0 * (s + 0.5) / (sources + 1.0) - 1.0) +
+                        rng.uniform(-0.05, 0.05);
+    for (std::size_t t = 0; t < w; ++t) {
+      const double p = step * static_cast<double>(t);
+      h[t] += cdouble{std::cos(p), std::sin(p)};
+    }
+  }
+  for (auto& v : h) v += rng.complex_gaussian(0.05);
+  return h;
+}
+
 TEST(FastPathParity, PseudospectrumMatchesLegacy) {
-  const CVec h = make_trace(100);
-  const core::SmoothedMusic music;
-  const RVec angles = core::angle_grid_deg(1.0);
-  int fast_order = 0;
-  int ref_order = 0;
-  const RVec fast = music.pseudospectrum(h, angles, &fast_order);
-  const RVec ref =
-      legacy_pseudospectrum(music.config(), h, angles, &ref_order);
-  EXPECT_EQ(fast_order, ref_order);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t ai = 0; ai < ref.size(); ++ai)
-    ASSERT_NEAR(1.0 / fast[ai], 1.0 / ref[ai], kParityTol) << "angle " << ai;
+  // The trig-polynomial scan against the noise-subspace legacy over
+  // sub-array lengths from the single-lag polynomial (w' = 2) to the
+  // default, three angle grids and model orders up to max_sources.
+  const CVec trace = make_trace(100);
+  std::size_t cases = 0;
+  for (const int wp : {2, 3, 8, 31, 32}) {
+    core::MusicConfig cfg;
+    cfg.subarray = wp;
+    cfg.max_sources = std::min(16, wp - 1);
+    const core::SmoothedMusic music(cfg);
+    int top_order = 0;
+    for (const double step : {0.5, 1.0, 2.5}) {
+      const RVec angles = core::angle_grid_deg(step);
+      for (int sources = 0; sources <= cfg.max_sources; ++sources) {
+        const CVec h = sources == 0
+                           ? trace
+                           : multi_source_window(100, sources, 97 * wp + sources);
+        int fast_order = 0;
+        int ref_order = 0;
+        const RVec fast = music.pseudospectrum(h, angles, &fast_order);
+        const RVec ref = legacy_pseudospectrum(cfg, h, angles, &ref_order);
+        const std::string where = "w'=" + std::to_string(wp) +
+                                  " step=" + std::to_string(step) +
+                                  " sources=" + std::to_string(sources);
+        ASSERT_EQ(fast_order, ref_order) << where;
+        top_order = std::max(top_order, fast_order);
+        ASSERT_EQ(fast.size(), ref.size()) << where;
+        for (std::size_t ai = 0; ai < ref.size(); ++ai) {
+          ASSERT_NEAR(1.0 / fast[ai], 1.0 / ref[ai], kParityTol)
+              << where << " angle " << ai;
+          ASSERT_NEAR(fast[ai] / ref[ai], 1.0, kPeakRelTol)
+              << where << " angle " << ai;
+        }
+        ++cases;
+      }
+    }
+    if (wp == 32) {
+      EXPECT_EQ(top_order, cfg.max_sources);
+    }
+  }
+  EXPECT_GT(cases, 100u);
 }
 
 TEST(FastPathParity, SlidingCorrelationMatchesDirectRebuild) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include "src/common/random.hpp"
 #include "src/core/doppler.hpp"
@@ -18,6 +19,8 @@
 #include "src/core/music.hpp"
 #include "src/dsp/fft.hpp"
 #include "src/linalg/eig.hpp"
+#include "src/sim/evaluate.hpp"
+#include "src/sim/scenario.hpp"
 
 namespace {
 
@@ -175,6 +178,57 @@ TEST(ZeroAlloc, FullEigendecompositionIsAllocationFreeWhenWarm) {
   linalg::hermitian_eig_into(b, out, ws);
   linalg::hermitian_eig_into(a, out, ws);
   EXPECT_EQ(g_alloc_count - before, 0);
+}
+
+TEST(ZeroAlloc, EigenRotationLogIsReservedBeforeItIsNeeded) {
+  // A diagonal matrix needs no Householder reflector and no QL rotation,
+  // so warming on it leaves QL's rotation log empty. Decompositions that
+  // do rotate (a dense random Hermitian matrix, a scenario world's
+  // correlation) must still not allocate: the log reserves the iteration
+  // budget's worst case up front rather than growing on demand.
+  const std::size_t n = 32;
+  linalg::CMatrix diagonal(n, n);
+  for (std::size_t i = 0; i < n; ++i) diagonal(i, i) = static_cast<double>(i + 1);
+  Rng rng(41);
+  linalg::CMatrix dense(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    dense(i, i) = rng.gaussian();
+    for (std::size_t j = i + 1; j < n; ++j) {
+      dense(i, j) = rng.complex_gaussian();
+      dense(j, i) = std::conj(dense(i, j));
+    }
+  }
+  const std::vector<sim::ScenarioFamily> families = sim::scenario_families();
+  const sim::ScenarioCase& sc = families.front().cases.front();
+  const CVec h = sim::generate_scenario(sc.spec, sc.seed).h;
+  const core::SmoothedMusic music;
+  const linalg::CMatrix scenario = music.smoothed_correlation(
+      CSpan(h).subspan(h.size() / 2, static_cast<std::size_t>(
+                                         music.config().isar.window)));
+  const RVec angles = core::angle_grid_deg(1.0);
+
+  // On a fresh thread, so MUSIC's per-thread workspace is warmed by the
+  // diagonal matrix alone.
+  long allocs = -1;
+  std::size_t rotations = 0;
+  std::thread([&] {
+    linalg::EigResult out;
+    linalg::EigWorkspace ws;
+    RVec spectrum;
+    int order = 0;
+    linalg::hermitian_eig_into(diagonal, out, ws);  // warm
+    music.pseudospectrum_from_correlation_into(diagonal, angles, spectrum, &order);
+
+    const long before = g_alloc_count;
+    linalg::hermitian_eig_into(dense, out, ws);
+    rotations = ws.givens.size() / 2;
+    linalg::hermitian_eig_into(scenario, out, ws);
+    music.pseudospectrum_from_correlation_into(dense, angles, spectrum, &order);
+    music.pseudospectrum_from_correlation_into(scenario, angles, spectrum, &order);
+    allocs = g_alloc_count - before;
+  }).join();
+  EXPECT_EQ(allocs, 0);
+  EXPECT_GT(rotations, n);
 }
 
 TEST(ZeroAlloc, ColumnDoesNotDependOnTheThreadsPreviousColumn) {
