@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/api/session.hpp"
 #include "src/common/random.hpp"
 #include "src/core/nulling.hpp"
 #include "src/core/tracker.hpp"
@@ -158,6 +159,28 @@ void BM_ParallelImageBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelImageBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void BM_OfflineRun(benchmark::State& state) {
+  // The offline path end to end: Session::run(trace, Parallelism{N}) over
+  // the same 25 s trace with column events, the track stage and a
+  // callback sink, a fresh session (and pool) per call like
+  // rt::Engine::run_recorded. The calling thread consumes each finished
+  // prefix of the image while the other workers build the rest, so past
+  // one thread the serial stages hide under the build (DESIGN.md §7).
+  const CVec h = make_trace(static_cast<std::size_t>(25 * 312.5));
+  api::PipelineSpec spec;
+  spec.track = api::TrackStage{};
+  const api::Parallelism parallel{static_cast<int>(state.range(0))};
+  std::size_t events = 0;
+  for (auto _ : state) {
+    api::Session session(spec);
+    session.set_callback([&events](api::Event&&) { ++events; });
+    session.run(h, parallel);
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetLabel("Session::run: columns + tracks, callback sink");
+}
+BENCHMARK(BM_OfflineRun)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 void BM_NullingProcedure(benchmark::State& state) {
   for (auto _ : state) {

@@ -136,34 +136,50 @@ void Session::guard_chunk(CSpan chunk) const {
   }
 }
 
-/// Deliver the per-column events for columns [from, end) plus one update
-/// round of each attached stage — the shared tail of every execution mode
-/// (ColumnEvents, then CountEvent, TracksEvent, BitsEvent).
+/// Deliver the per-column events for the columns the last push completed
+/// plus one update round of each attached stage — the tail of the
+/// streaming modes (ColumnEvents, then CountEvent, TracksEvent, BitsEvent).
 void Session::emit_new_columns(std::size_t from) {
   const core::AngleTimeImage& img = tracker_.image();
-  const std::size_t after = img.num_times();
-  if (after == from) return;
+  if (img.num_times() == from) return;
+  emit_columns(img, from, img.num_times());
+  emit_stage_events(img);
+}
 
-  if (spec_.image.emit_columns) {
-    for (std::size_t c = from; c < after; ++c) {
-      ColumnEvent e;
-      e.column_index = c;
-      e.time_sec = img.times_sec[c];
-      e.column = img.columns[c];
-      e.model_order = img.model_orders[c];
-      emit(std::move(e));
-    }
+/// ColumnEvents for columns [from, end) of `img`, in column order.
+void Session::emit_columns(const core::AngleTimeImage& img, std::size_t from,
+                           std::size_t end) {
+  if (!spec_.image.emit_columns) return;
+  for (std::size_t c = from; c < end; ++c) {
+    ColumnEvent e;
+    e.column_index = c;
+    e.time_sec = img.times_sec[c];
+    e.column = img.columns[c];
+    e.model_order = img.model_orders[c];
+    emit(std::move(e));
   }
+}
+
+/// Step a column-incremental stage (count or track) over img's columns
+/// up to `end` under a detect span; a stage already there records none.
+template <typename Stage>
+void Session::step(Stage& stage, const core::AngleTimeImage& img,
+                   std::size_t end) {
+  if (stage.columns_seen() == end) return;
+  obs::ScopedSpan span(&obs_, obs::Stage::kDetect);
+  stage.update(img, end);
+}
+
+/// One update round of each attached stage over the whole of `img`, each
+/// followed by its event: CountEvent, TracksEvent, BitsEvent.
+void Session::emit_stage_events(const core::AngleTimeImage& img) {
+  const std::size_t end = img.num_times();
   if (counter_) {
-    obs::ScopedSpan span(&obs_, obs::Stage::kDetect);
-    counter_->update(img);
-    span.stop();
+    step(*counter_, img, end);
     emit(CountEvent{counter_->variance(), counter_->columns_seen()});
   }
   if (multi_) {
-    obs::ScopedSpan span(&obs_, obs::Stage::kDetect);
-    multi_->update(img);
-    span.stop();
+    step(*multi_, img, end);
     TracksEvent e;
     e.tracks = multi_->snapshots();
     e.num_confirmed = multi_->tracker().num_confirmed();
@@ -263,11 +279,22 @@ void Session::run(CSpan trace, Parallelism parallel) {
       // concurrent Sessions must not share one pool.
       ::wivi::par::ParallelImageBuilder builder(spec_.image.tracker,
                                                 parallel.num_threads);
-      tracker_.adopt(trace, builder.build(trace, spec_.t0));
+      // This thread consumes each finished prefix while the other workers
+      // build the rest: ColumnEvents, and the column-incremental stages
+      // stepped up to it. The gesture decoder reads whole-trace
+      // statistics, so it, and every stage event, waits for the image.
+      tracker_.adopt(
+          trace, builder.build(trace, spec_.t0,
+                               [this](const core::AngleTimeImage& img,
+                                      std::size_t from, std::size_t end) {
+                                 emit_columns(img, from, end);
+                                 if (counter_) step(*counter_, img, end);
+                                 if (multi_) step(*multi_, img, end);
+                               }));
+      emit_stage_events(tracker_.image());
     } else if (!trace.empty()) {
       (void)tracker_.push(trace);  // shorter than one window: no columns
     }
-    emit_new_columns(0);
   });
   finish();
 }

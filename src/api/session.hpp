@@ -10,8 +10,9 @@
 ///     state machines and their pinned streaming==batch contract);
 ///   * **parallel offline** — run(trace, Parallelism{n}): the image built
 ///     column-parallel over n workers (par::ParallelImageBuilder +
-///     rt::StreamingTracker::adopt) — the same columns, bit for bit, as
-///     the streaming path for every n (DESIGN.md §7);
+///     rt::StreamingTracker::adopt) while the calling thread consumes each
+///     finished prefix — the same columns and events, bit for bit, as
+///     the batch path for every n (DESIGN.md §7);
 ///   * **multiplexed** — rt::Engine owns one Session per sensor and drives
 ///     the same push()/finish() path under its worker pool.
 ///
@@ -117,10 +118,15 @@ class Session {
 
   /// Parallel offline execution of a fully recorded trace: the angle-time
   /// image is built column-parallel (par::ParallelImageBuilder over
-  /// `par.num_threads` workers) and adopted, then the downstream stages
-  /// run once over the finished image — so CountEvent/TracksEvent/
-  /// BitsEvent arrive once (after all columns) instead of once per chunk.
-  /// The columns are bit-identical to the streaming path's (DESIGN.md §7).
+  /// `par.num_threads` workers) and adopted. While it builds, the calling
+  /// thread consumes each finished prefix of it: the ColumnEvents, and the
+  /// count and track stages stepped up to the prefix. The gesture stage
+  /// runs once over the finished image, and CountEvent/TracksEvent/
+  /// BitsEvent still arrive once, after all columns, instead of once per
+  /// chunk — the same event stream as run(trace). The columns are
+  /// bit-identical to the streaming path's (DESIGN.md §7). If a worker
+  /// fails, the ColumnEvents delivered before the ErrorEvent are an
+  /// in-order prefix ending before the failed block (DESIGN.md §8).
   /// Requires a fresh session (nothing pushed yet).
   void run(CSpan trace, Parallelism parallel);
 
@@ -250,6 +256,11 @@ class Session {
   void guard_chunk(CSpan chunk) const;
   void emit(Event&& e);
   void emit_new_columns(std::size_t from);
+  void emit_columns(const core::AngleTimeImage& img, std::size_t from,
+                    std::size_t end);
+  template <typename Stage>
+  void step(Stage& stage, const core::AngleTimeImage& img, std::size_t end);
+  void emit_stage_events(const core::AngleTimeImage& img);
   void fail(ErrorCode code, const char* what) noexcept;
 
   PipelineSpec spec_;

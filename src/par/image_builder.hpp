@@ -16,8 +16,16 @@
 /// dynamic block-to-worker assignment, and to the streaming path
 /// (rt::StreamingTracker), which calls the same per-window functions
 /// (pinned by test_par and test_fastpath_parity; DESIGN.md §7).
+///
+/// A build can also feed an in-order consumer while it runs: the calling
+/// thread hands it each newly finished prefix of the image, so serial
+/// downstream work (api::Session's column events, counting and tracking)
+/// overlaps the other workers' columns instead of waiting for the last
+/// one (DESIGN.md §7, "Overlapping the serial stages").
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "src/core/tracker.hpp"
@@ -50,10 +58,37 @@ class ParallelImageBuilder {
     return pool_.num_threads();
   }
 
+  /// In-order consumer of a build in progress: consume(img, from, end)
+  /// says columns [from, end) just joined the finished prefix [0, end).
+  ///
+  /// - Thread and order: it runs only on the calling thread (pool worker
+  ///   0), between that thread's own columns and, once no block is left
+  ///   to claim, while the thread blocks waiting for the other workers'
+  ///   blocks. Calls are contiguous: `from` is the previous call's `end`
+  ///   (0 on the first), so every column is seen exactly once, in index
+  ///   order. Prefixes end on block boundaries (kColumnsPerBlock).
+  /// - What it may read: `img.angles_deg`, and `columns`,
+  ///   `model_orders` and `times_sec` below `end`. The slots at and after
+  ///   `end` are still being written by other workers, and
+  ///   `img.num_times()` is the final column count, not `end`. A worker
+  ///   publishes a block's slots with a release store that the caller
+  ///   acquires before handing out any prefix containing the block.
+  /// - Failures: a block whose computation throws is never published, so
+  ///   the prefix stops before it and no column at or after it reaches
+  ///   the consumer; the failed block still wakes a waiting caller. If
+  ///   the consumer throws, it is not called again. Either way build()
+  ///   waits for every worker to finish and then rethrows; the
+  ///   consumer's exception wins over a worker's.
+  using PrefixConsumer = std::function<void(
+      const core::AngleTimeImage& img, std::size_t from, std::size_t end)>;
+
   /// Compute the full angle-time image of a recorded channel-estimate
   /// stream; identical output for every thread count. `t0` is the
-  /// absolute time of h.front().
-  [[nodiscard]] core::AngleTimeImage build(CSpan h, double t0 = 0.0) const;
+  /// absolute time of h.front(). A non-empty `consume` is fed each newly
+  /// finished prefix on the calling thread while the build runs (see
+  /// PrefixConsumer); it does not change the image.
+  [[nodiscard]] core::AngleTimeImage build(
+      CSpan h, double t0 = 0.0, const PrefixConsumer& consume = {}) const;
 
  private:
   core::MotionTracker::Config cfg_;

@@ -27,9 +27,9 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::parallel_for(std::size_t count, const Task& fn) {
-  if (count == 0) return;
-  if (num_threads_ == 1) {
+void ThreadPool::parallel_for(std::size_t count, const Task& fn,
+                              const std::function<void()>& caller_idle) {
+  if (num_threads_ == 1 || count == 0) {
     // No pool threads: run inline, in index order — but with the same
     // exception contract as the threaded path (every task runs, first
     // exception rethrown at the end), so pool size never changes
@@ -42,6 +42,7 @@ void ThreadPool::parallel_for(std::size_t count, const Task& fn) {
         if (first == nullptr) first = std::current_exception();
       }
     }
+    if (caller_idle) caller_idle();
     if (first != nullptr) std::rethrow_exception(first);
     return;
   }
@@ -59,6 +60,16 @@ void ThreadPool::parallel_for(std::size_t count, const Task& fn) {
   }
   start_cv_.notify_all();
   run_tasks(fn, count, /*worker_id=*/0);
+  // The other workers may still hold tasks that reference `fn`, so an
+  // idle-hook exception waits for the drain like a task's.
+  std::exception_ptr err;
+  if (caller_idle) {
+    try {
+      caller_idle();
+    } catch (...) {
+      err = std::current_exception();
+    }
+  }
 
   std::unique_lock lk(mu_);
   // Wait for every task to finish AND every worker to leave run_tasks:
@@ -66,12 +77,10 @@ void ThreadPool::parallel_for(std::size_t count, const Task& fn) {
   // the next job resets the claim cursor.
   done_cv_.wait(lk, [&] { return pending_ == 0 && active_ == 0; });
   job_ = nullptr;
-  if (first_error_ != nullptr) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    lk.unlock();
-    std::rethrow_exception(err);
-  }
+  if (err == nullptr) err = first_error_;
+  first_error_ = nullptr;
+  lk.unlock();
+  if (err != nullptr) std::rethrow_exception(err);
 }
 
 void ThreadPool::run_tasks(const Task& fn, std::size_t count, int worker_id) {

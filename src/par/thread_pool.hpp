@@ -57,7 +57,13 @@ class ThreadPool {
   /// dynamically (uneven costs balance); every task runs exactly once even
   /// if some throw, and the first exception is rethrown here after all
   /// tasks finish. Blocks until the whole range is done.
-  void parallel_for(std::size_t count, const Task& fn);
+  ///
+  /// `caller_idle`, if set, runs once on the calling thread when it finds
+  /// no task left to claim, while the other workers may still be running
+  /// theirs: work that overlaps the job's tail. Its exception is rethrown
+  /// after all tasks finish, ahead of any task's.
+  void parallel_for(std::size_t count, const Task& fn,
+                    const std::function<void()>& caller_idle = {});
 
  private:
   void worker_loop(int worker_id);

@@ -119,8 +119,6 @@ Engine::Metrics::Metrics(obs::Registry& r)
       restarts(r.counter("wivi_engine_restarts_total")),
       overload_transitions(
           r.counter("wivi_engine_overload_transitions_total")),
-      sessions_opened(r.counter("wivi_engine_sessions_opened_total")),
-      sessions_finished(r.counter("wivi_engine_sessions_finished_total")),
       ingress_wait_ns(r.histogram("wivi_ingress_wait_ns")),
       chunk_latency_ns(r.histogram("wivi_chunk_latency_ns")) {}
 
@@ -201,7 +199,6 @@ SessionId Engine::open_session(api::PipelineSpec spec, IngestConfig ingest) {
   sessions_[n] = std::make_unique<Session>(this, static_cast<SessionId>(n),
                                            std::move(spec), std::move(ingest));
   session_count_.store(n + 1, std::memory_order_release);
-  m_.sessions_opened.add();
   return static_cast<SessionId>(n);
 }
 
@@ -223,7 +220,6 @@ SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
     s.closed.store(true, std::memory_order_release);
     retain(s);
     s.finished.store(true, std::memory_order_release);
-    m_.sessions_finished.add();
   } catch (const TypedError& e) {
     // Includes an InputGuard rejection of the whole trace: in recorded
     // mode the trace *is* the stream, so a rejected trace is terminal.
@@ -354,18 +350,19 @@ SessionStats Engine::stats(SessionId id) const {
 
 Engine::EngineStats Engine::stats() const {
   EngineStats st;
-  st.sessions = m_.sessions_opened.value();
-  st.sessions_finished = m_.sessions_finished.value();
   st.events_out = m_.events.value();
   st.stalls = m_.stalls.value();
   st.timeouts = m_.timeouts.value();
   st.restarts = m_.restarts.value();
   st.overload_transitions = m_.overload_transitions.value();
-  // The per-session atomics are the only record of these counts; summing
-  // them on read is the one aggregation snapshot() exports too.
+  // The session table and the per-session atomics are the only record
+  // of these counts (always on, whatever WIVI_OBS says); summing them on
+  // read is the one aggregation snapshot() exports too.
   const std::size_t n = session_count_.load(std::memory_order_acquire);
+  st.sessions = n;
   for (std::size_t i = 0; i < n; ++i) {
     const Session& s = *sessions_[i];
+    st.sessions_finished += s.finished.load(std::memory_order_acquire) ? 1 : 0;
     st.chunks_in += s.chunks_in.load(std::memory_order_relaxed);
     st.samples_in += s.samples_in.load(std::memory_order_relaxed);
     st.chunks_dropped += s.chunks_dropped.load(std::memory_order_relaxed);
@@ -396,6 +393,8 @@ obs::Snapshot Engine::snapshot() const {
   // The per-session sums come from stats(), so the two surfaces cannot
   // disagree.
   const EngineStats st = stats();
+  snap.add_counter("wivi_engine_sessions_opened_total", st.sessions);
+  snap.add_counter("wivi_engine_sessions_finished_total", st.sessions_finished);
   snap.add_counter("wivi_engine_chunks_in_total", st.chunks_in);
   snap.add_counter("wivi_engine_samples_in_total", st.samples_in);
   snap.add_counter("wivi_engine_chunks_dropped_total", st.chunks_dropped);
@@ -717,7 +716,6 @@ void Engine::finalize(Session& s) {
                       std::memory_order_relaxed);
   retain(s);
   s.finished.store(true, std::memory_order_release);
-  m_.sessions_finished.add();
 }
 
 /// Queue `s`, whose pipeline has finished and is never touched by a
@@ -807,7 +805,6 @@ void Engine::fail_session(Session& s, ErrorCode code,
   while (s.ring.try_pop(in))
     s.samples_lost.fetch_add(in.samples.size(), std::memory_order_relaxed);
   s.finished.store(true, std::memory_order_release);
-  m_.sessions_finished.add();
 }
 
 }  // namespace wivi::rt

@@ -306,8 +306,9 @@ class Engine {
   /// kCount/kTracks/kBits land once (after all columns) instead of once
   /// per chunk. The column values are bit-identical to the streaming
   /// path's (DESIGN.md §7). Blocks the calling thread for the whole
-  /// computation (events are delivered from it) and returns the finished
-  /// session's id; offer() on it is an error.
+  /// computation (events are delivered from it, the column events while
+  /// the image is still building) and returns the finished session's id;
+  /// offer() on it is an error.
   /// Thread-safe, and concurrent callers parallelise independently.
   SessionId run_recorded(api::PipelineSpec spec, CSpan trace);
 
@@ -496,8 +497,6 @@ class Engine {
     obs::Counter& timeouts;
     obs::Counter& restarts;
     obs::Counter& overload_transitions;
-    obs::Counter& sessions_opened;
-    obs::Counter& sessions_finished;
     obs::Histogram& ingress_wait_ns;
     obs::Histogram& chunk_latency_ns;
   };

@@ -206,21 +206,23 @@ std::vector<core::GestureDecoder::DecodedBit> StreamingGesture::poll(
 
 // -------------------------------------------------- StreamingMultiTracker ---
 
-std::size_t StreamingMultiTracker::update(const core::AngleTimeImage& img) {
-  const std::size_t total = img.num_times();
+std::size_t StreamingMultiTracker::update(const core::AngleTimeImage& img,
+                                          std::size_t end) {
+  WIVI_REQUIRE(end <= img.num_times(), "update bound past the image");
   const std::size_t seen = tracker_.columns_processed();
-  WIVI_REQUIRE(seen <= total, "image shrank between updates");
-  for (std::size_t t = seen; t < total; ++t) tracker_.step(img, t);
-  return total - seen;
+  WIVI_REQUIRE(seen <= end, "image shrank between updates");
+  for (std::size_t t = seen; t < end; ++t) tracker_.step(img, t);
+  return end - seen;
 }
 
 // ------------------------------------------------------ StreamingCounter ---
 
-std::size_t StreamingCounter::update(const core::AngleTimeImage& img) {
-  const std::size_t total = img.num_times();
-  WIVI_REQUIRE(n_ <= total, "image shrank between updates");
-  const std::size_t fresh = total - n_;
-  for (; n_ < total; ++n_) {
+std::size_t StreamingCounter::update(const core::AngleTimeImage& img,
+                                     std::size_t end) {
+  WIVI_REQUIRE(end <= img.num_times(), "update bound past the image");
+  WIVI_REQUIRE(n_ <= end, "image shrank between updates");
+  const std::size_t fresh = end - n_;
+  for (; n_ < end; ++n_) {
     img.column_db_into(n_, col_db_, cap_db_);
     acc_ += core::spatial_variance_column(col_db_, img.angles_deg);
   }

@@ -224,7 +224,13 @@ class StreamingMultiTracker {
   /// Step the tracker over any image columns not yet consumed.
   /// @param img  the growing image (same instance every call).
   /// @return how many new columns were consumed.
-  std::size_t update(const core::AngleTimeImage& img);
+  std::size_t update(const core::AngleTimeImage& img) {
+    return update(img, img.num_times());
+  }
+  /// Same, but only up to column `end` (<= img.num_times()): reads no
+  /// column at or after it, so `img` may still be under construction
+  /// there (par::ParallelImageBuilder::PrefixConsumer).
+  std::size_t update(const core::AngleTimeImage& img, std::size_t end);
 
   /// The wrapped tracker: snapshots(), histories(), num_confirmed()...
   [[nodiscard]] const track::MultiTargetTracker& tracker() const noexcept {
@@ -260,7 +266,12 @@ class StreamingCounter {
   }
 
   /// Accumulate any image columns not yet seen; returns how many.
-  std::size_t update(const core::AngleTimeImage& img);
+  std::size_t update(const core::AngleTimeImage& img) {
+    return update(img, img.num_times());
+  }
+  /// Same, but only up to column `end` (<= img.num_times()), reading no
+  /// column at or after it.
+  std::size_t update(const core::AngleTimeImage& img, std::size_t end);
 
   /// Running experiment-level spatial variance (0 before any column).
   [[nodiscard]] double variance() const noexcept {

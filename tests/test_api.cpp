@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -365,6 +366,110 @@ TEST(SessionParallel, ThreadCountInvariant) {
   api::Session three(spec);
   three.run(h, api::Parallelism{3});
   expect_images_identical(one.image(), three.image(), "1 vs 3 threads");
+}
+
+TEST(SessionParallel, EventStreamEqualsBatchInPollAndCallbackModes) {
+  // The calling thread consumes each finished prefix of the parallel
+  // image while the other workers build the rest; the stage events still
+  // come once, after all columns, so the typed stream equals run(trace).
+  const CVec& h = crossing_trace();
+  api::Session batch(full_spec());
+  batch.run(h);
+  std::vector<api::Event> expected;
+  batch.poll(expected);
+  ASSERT_TRUE(std::holds_alternative<api::FinishedEvent>(expected.back()));
+
+  for (const int n : {1, 2, 3, 8}) {
+    const std::string label = "threads=" + std::to_string(n);
+    api::Session polled(full_spec());
+    polled.run(h, api::Parallelism{n});
+    std::vector<api::Event> poll_events;
+    polled.poll(poll_events);
+    expect_events_identical(expected, poll_events,
+                            (label + " poll").c_str());
+
+    api::Session called(full_spec());
+    std::vector<api::Event> cb_events;
+    called.set_callback([&cb_events](api::Event&& e) {
+      cb_events.push_back(std::move(e));
+    });
+    called.run(h, api::Parallelism{n});
+    expect_events_identical(expected, cb_events,
+                            (label + " callback").c_str());
+  }
+}
+
+TEST(SessionParallel, ComputeFailureDeliversAnInOrderPrefixThenTheError) {
+  // A NaN the guard lets through makes a pool worker throw mid-build. The
+  // ColumnEvents delivered before the ErrorEvent must be an in-order
+  // prefix that stops before the first failing column, as in streaming.
+  api::PipelineSpec spec = full_spec();
+  spec.guard.check_finite = false;
+  CVec h = crossing_trace();
+  const std::size_t mid = h.size() / 2;
+  h[mid] = cdouble{std::numeric_limits<double>::quiet_NaN(), 0.0};
+  const auto w = static_cast<std::size_t>(spec.image.tracker.music.isar.window);
+  const auto hop = static_cast<std::size_t>(spec.image.tracker.hop);
+  const std::size_t first_bad = (mid + 1 - w + hop - 1) / hop;
+
+  for (const int n : {1, 3, 8}) {
+    const std::string label = "threads=" + std::to_string(n);
+    api::Session session(spec);
+    std::vector<api::Event> events;
+    session.set_callback(
+        [&events](api::Event&& e) { events.push_back(std::move(e)); });
+    EXPECT_THROW(session.run(h, api::Parallelism{n}), std::exception)
+        << label;
+    EXPECT_TRUE(session.failed()) << label;
+    EXPECT_EQ(session.error_code(), ErrorCode::kStageFailure) << label;
+
+    ASSERT_FALSE(events.empty()) << label;
+    ASSERT_TRUE(std::holds_alternative<api::ErrorEvent>(events.back()))
+        << label;
+    EXPECT_EQ(std::get<api::ErrorEvent>(events.back()).code,
+              ErrorCode::kStageFailure)
+        << label;
+    for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+      const auto* col = std::get_if<api::ColumnEvent>(&events[i]);
+      ASSERT_NE(col, nullptr) << label << " event " << i;
+      EXPECT_EQ(col->column_index, i) << label;
+      EXPECT_LT(col->column_index, first_bad) << label;
+    }
+    // One thread hands out every whole block below the failing one.
+    if (n == 1) {
+      const std::size_t block = par::ParallelImageBuilder::kColumnsPerBlock;
+      EXPECT_EQ(events.size() - 1, first_bad / block * block) << label;
+    }
+  }
+}
+
+TEST(SessionParallel, ThrowingSinkStopsConsumptionWithOneErrorEvent) {
+  const CVec& h = crossing_trace();
+  api::Session session(full_spec());
+  std::vector<api::Event> events;
+  std::size_t columns = 0;
+  session.set_callback([&](api::Event&& e) {
+    const bool column = std::holds_alternative<api::ColumnEvent>(e);
+    events.push_back(std::move(e));
+    if (column && ++columns == 40) throw std::runtime_error("sink full");
+  });
+  try {
+    session.run(h, api::Parallelism{3});
+    FAIL() << "the sink's exception did not propagate";
+  } catch (const TypedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kSinkFailure);
+  }
+  EXPECT_TRUE(session.failed());
+  EXPECT_EQ(session.error_code(), ErrorCode::kSinkFailure);
+  // 40 ColumnEvents (the last one threw), then only the ErrorEvent.
+  ASSERT_EQ(events.size(), 41u);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const auto* col = std::get_if<api::ColumnEvent>(&events[i]);
+    ASSERT_NE(col, nullptr) << "event " << i;
+    EXPECT_EQ(col->column_index, i);
+  }
+  ASSERT_TRUE(std::holds_alternative<api::ErrorEvent>(events.back()));
+  EXPECT_EQ(std::get<api::ErrorEvent>(events.back()).message, "sink full");
 }
 
 // ----------------------------------------------------- engine multiplexed ---

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/core/tracker.hpp"
@@ -108,6 +109,37 @@ TEST(ThreadPool, FirstExceptionIsRethrownAndEveryTaskStillRuns) {
     std::atomic<int> ran{0};
     pool.parallel_for(8, [&](std::size_t, int) { ++ran; });
     EXPECT_EQ(ran.load(), 8);
+  }
+}
+
+TEST(ThreadPool, CallerIdleRunsOnceOnTheCallerAndItsExceptionWins) {
+  // The hook runs on the calling thread once it has no task left to
+  // claim; its exception is rethrown after every task ran, ahead of any
+  // task's, whatever the pool size.
+  for (const int size : {1, 4}) {
+    par::ThreadPool pool(size);
+    std::vector<std::atomic<int>> hits(64);
+    int idle_calls = 0;
+    std::thread::id idle_thread;
+    const auto run = [&](bool idle_throws) {
+      pool.parallel_for(
+          64,
+          [&](std::size_t i, int) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            if (i == 5) throw std::runtime_error("task boom");
+          },
+          [&] {
+            ++idle_calls;
+            idle_thread = std::this_thread::get_id();
+            if (idle_throws) throw std::logic_error("idle boom");
+          });
+    };
+    EXPECT_THROW(run(true), std::logic_error) << "pool=" << size;
+    EXPECT_THROW(run(false), std::runtime_error) << "pool=" << size;
+    EXPECT_EQ(idle_calls, 2) << "pool=" << size;
+    EXPECT_EQ(idle_thread, std::this_thread::get_id()) << "pool=" << size;
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i].load(), 2) << "pool=" << size << " index " << i;
   }
 }
 
